@@ -8,7 +8,14 @@ published values.  Durations/repetitions are scaled down from the paper's
 ``--paper-scale`` to run the full-size experiments.
 """
 
+import os
+import sys
+
 import pytest
+
+# The seed oracles live in the test tree (``tests/oracles/``); make the
+# repository root importable however pytest was launched.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def pytest_addoption(parser):

@@ -2,8 +2,9 @@
 
 The tuple-heap engine rewrite promises >=1.5x event-dispatch throughput
 over the seed's dataclass-``Event`` engine.  This file measures that
-claim directly against :class:`repro.simulator._reference.ReferenceSimulator`
-(the seed engine, kept verbatim for exactly this comparison) and records
+claim directly against :class:`tests.oracles.reference_simulator.
+ReferenceSimulator` (the seed engine, kept verbatim for exactly this
+comparison) and records
 the results in ``BENCH_engine.current.json``.
 
 The recorded metric is the **new/reference speedup ratio**, not absolute
@@ -28,10 +29,11 @@ from repro.core.paldia import PaldiaPolicy
 from repro.framework.slo import SLO
 from repro.framework.system import ServerlessRun
 from repro.hardware.profiles import ProfileService
-from repro.simulator._reference import ReferenceSimulator
 from repro.simulator.engine import Simulator
 from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
+from tests.oracles.reference_policy import ReferencePaldiaPolicy
+from tests.oracles.reference_simulator import ReferenceSimulator
 
 ROUNDS = 5
 #: Events per round for the flat (pre-scheduled, deep heap) micro bench.
@@ -153,14 +155,12 @@ def test_chain_dispatch_speedup():
     )
 
 
-def _run_once(sim_cls, vectorized):
+def _run_once(sim_cls, policy_cls):
     model = get_model("resnet50")
     profiles = ProfileService()
     slo = SLO()
     trace = poisson_trace(rate_rps=model.peak_rps, duration=60.0, seed=0)
-    policy = PaldiaPolicy(
-        model, profiles, slo.target_seconds, vectorized=vectorized
-    )
+    policy = policy_cls(model, profiles, slo.target_seconds)
     run = ServerlessRun(
         model, trace, policy, profiles, slo, sim=sim_cls()
     )
@@ -172,16 +172,16 @@ def _run_once(sim_cls, vectorized):
 def test_end_to_end_run_no_regression():
     """Meso check: the full seed stack vs the full current stack.
 
-    The seed side runs the reference engine *and* the policy's
-    ``vectorized=False`` reference mode (the seed's uncached row-by-row
-    Algorithm 1 scan and per-call Equation-(1) solves — the same oracle
-    the golden bit-identity suite certifies against).  The new side runs
-    the tuple-heap engine with the columnar/memoised policy core.  The
+    The seed side runs the reference engine *and* the reference policy
+    from ``tests/oracles/`` (the seed's uncached row-by-row Algorithm 1
+    scan and per-call Equation-(1) solves — the same oracle the golden
+    bit-identity suite certifies against).  The new side runs the
+    tuple-heap engine with the columnar/memoised policy core.  The
     vectorized-policy PR's contract is a >=2x whole-run speedup; the
     committed baseline gates regressions in CI via check_bench."""
     ref, new = best_of_paired(
-        lambda: _run_once(ReferenceSimulator, vectorized=False),
-        lambda: _run_once(Simulator, vectorized=True),
+        lambda: _run_once(ReferenceSimulator, ReferencePaldiaPolicy),
+        lambda: _run_once(Simulator, PaldiaPolicy),
         rounds=3,
     )
     ratio = ref / new

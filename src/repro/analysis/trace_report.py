@@ -354,17 +354,22 @@ def render_trace_report(
     if any(scaling.values()):
         parts.append(render_kv(scaling, title="autoscaler activity"))
 
-    failures = data.events_named("failure.inject")
-    if failures:
+    # Node outages (periodic or stochastic) are the faults with a downtime.
+    outages = [
+        e for e in data.events_named("chaos.inject")
+        if "downtime_seconds" in e.get("attrs", {})
+    ]
+    if outages:
         parts.append(
             render_table(
-                ["t", "downtime_s"],
+                ["t", "kind", "downtime_s"],
                 [
                     [round(float(e.get("t", 0.0)), 2),
-                     e.get("attrs", {}).get("downtime_seconds")]
-                    for e in failures
+                     e["attrs"].get("kind"),
+                     e["attrs"]["downtime_seconds"]]
+                    for e in outages
                 ],
-                title=f"injected failures ({len(failures)})",
+                title=f"injected node outages ({len(outages)})",
             )
         )
     return "\n\n".join(parts)

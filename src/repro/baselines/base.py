@@ -129,10 +129,6 @@ class Policy(ABC):
 
     name: str = "abstract"
     instant_switch: bool = False
-    #: Cache pure profile lookups (``batch_size_on``).  Policies exposing
-    #: an uncached reference mode (Paldia's ``vectorized=False``) flip
-    #: this off so the seed's call pattern is reproduced exactly.
-    _memoize_profiles: bool = True
 
     def __init__(
         self,
@@ -207,14 +203,11 @@ class Policy(ABC):
         """The flexible batch size this policy uses on ``hw``.
 
         A pure function of ``(model, hw, slo)``, so the answer is memoised
-        per hardware unless the policy runs in reference mode."""
-        if self._memoize_profiles:
-            b = self._batch_size_cache.get(hw.name)
-            if b is not None:
-                return b
-        b = self.profiles.best_batch(self.model, hw, self.slo_seconds)
-        b = b if b > 0 else 1
-        if self._memoize_profiles:
+        per hardware."""
+        b = self._batch_size_cache.get(hw.name)
+        if b is None:
+            b = self.profiles.best_batch(self.model, hw, self.slo_seconds)
+            b = b if b > 0 else 1
             self._batch_size_cache[hw.name] = b
         return b
 

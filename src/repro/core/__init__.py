@@ -2,9 +2,7 @@
 
 from repro.core.autoscaler import Autoscaler, containers_for_split
 from repro.core.contention import ContentionAwarePaldiaPolicy
-from repro.core.hardware_selection import (
-    CandidateEvaluation, HardwareSelector, SelectionOutcome,
-)
+from repro.core.hardware_selection import HardwareSelector, SelectionOutcome
 from repro.core.model import SplitDecision, cpu_t_max, optimal_split, t_max_curve
 from repro.core.paldia import PaldiaPolicy
 from repro.core.predictor import (
@@ -12,7 +10,7 @@ from repro.core.predictor import (
 )
 
 __all__ = [
-    "Autoscaler", "CandidateEvaluation", "ContentionAwarePaldiaPolicy", "EWMAPredictor", "HardwareSelector",
+    "Autoscaler", "ContentionAwarePaldiaPolicy", "EWMAPredictor", "HardwareSelector",
     "OraclePredictor", "PaldiaPolicy", "RatePredictor", "RateTracker",
     "SelectionOutcome", "SplitDecision", "containers_for_split", "cpu_t_max",
     "optimal_split", "t_max_curve",

@@ -20,21 +20,20 @@ The candidate scan is *columnar*: one :class:`CandidateTable` holds the
 whole ``HW_dict`` as parallel numpy arrays (latency, cost, co-run level,
 occupancy), solved in a single ``(candidates x y)`` grid by
 :func:`repro.core.model.optimal_split_batch` and reduced with vectorised
-feasibility masks + argmin.  The original row-by-row path is preserved
-behind ``vectorized=False`` as the seed oracle; the two are bit-identical
-(same IEEE operation order, same first-index tie-breaking) and the golden
-suite holds them to it.
+feasibility masks + argmin.  The seed's row-by-row scan is kept with the
+tests (``tests/oracles/``) as the oracle; the two are bit-identical (same
+IEEE operation order, same first-index tie-breaking) and the golden suite
+holds them to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core._reference_model import reference_optimal_split
 from repro.core.model import cpu_t_max, optimal_split_batch
 from repro.core.predictor import RatePredictor
 from repro.hardware.catalog import HardwareSpec
@@ -43,7 +42,6 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
 
 __all__ = [
-    "CandidateEvaluation",
     "CandidateRow",
     "CandidateTable",
     "SelectionOutcome",
@@ -53,32 +51,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class CandidateEvaluation:
-    """One row of Algorithm 1's ``HW_dict``: a candidate's best latency."""
-
-    hw: HardwareSpec
-    least_t_max: float
-    best_y: Optional[int]
-    cost: float
-
-
-@dataclass(frozen=True, slots=True)
 class CandidateRow:
     """A recorded ``HW_dict`` row, decoupled from live catalog objects.
 
-    This is the replay-side twin of :class:`CandidateEvaluation`: the
-    ``hardware_selection.tick`` trace event serialises each evaluation as
-    ``{hw, least_t_max, best_y, cost_per_hour}`` (with ``inf`` written as
-    ``null``), and :meth:`from_attrs` parses that back so the
+    The ``hardware_selection.tick`` trace event serialises each candidate
+    as ``{hw, least_t_max, best_y, cost_per_hour}`` (with ``inf`` written
+    as ``null``), and :meth:`from_attrs` parses that back so the
     counterfactual engine can re-run ``choose_best_HW`` over logged state
-    without re-simulation.
-
-    .. deprecated:: on the hot path
-        The live selection loop no longer materialises dict-shaped rows;
-        it runs on :class:`CandidateTable`'s parallel arrays and exposes
-        rows only as lazily-built views (:meth:`CandidateTable.row`).
-        :meth:`from_attrs` remains the supported entry point for *replay*
-        consumers (attribution, reports) parsing recorded trace events.
+    without re-simulation.  The live loop never builds these; it runs
+    on :class:`CandidateTable`'s arrays.
     """
 
     hw_name: str
@@ -97,31 +78,6 @@ class CandidateRow:
             best_y=attrs.get("best_y"),
             cost_per_hour=float(attrs.get("cost_per_hour", 0.0)),
         )
-
-
-def _choose_best_generic(rows, t_of, cost_of, budget: float, slack: float):
-    """``choose_best_HW`` over any row shape (live or replayed).
-
-    Shared by :meth:`HardwareSelector.choose_best` (live
-    :class:`CandidateEvaluation` objects) and :func:`choose_best_row`
-    (recorded :class:`CandidateRow` rows) so the counterfactual replay can
-    never drift from the online selection rule.
-    """
-    if not rows:
-        raise ValueError("no candidates to choose from")
-    best_t = min(t_of(r) for r in rows)
-    fitting = [r for r in rows if t_of(r) <= budget]
-    if not fitting:
-        return min(rows, key=lambda r: (t_of(r), cost_of(r)))
-    # "Within ~50 ms of the most performant" (the paper's rule), but
-    # when every candidate sits far inside the budget the comparison
-    # degenerates (at light load T_max values are all tiny and the
-    # fastest GPU always "wins" by more than the slack); any node with
-    # comfortable margin is equally good, so cost decides.
-    threshold = max(best_t + slack, 0.8 * budget)
-    window = [r for r in fitting if t_of(r) <= threshold]
-    pool = window or fitting
-    return min(pool, key=lambda r: (cost_of(r), t_of(r)))
 
 
 def _lexmin_index(primary: np.ndarray, secondary: np.ndarray) -> int:
@@ -145,15 +101,24 @@ def choose_best_row(
     :meth:`CandidateRow.from_attrs`) and the latency budget the selector
     was judging against, returns the row the live algorithm would pick —
     the primitive the offline counterfactual engine
-    (:mod:`repro.analysis.attribution`) builds on.
+    (:mod:`repro.analysis.attribution`) builds on.  The live selector
+    runs the same rule on arrays (:meth:`CandidateTable.choose_best_index`).
     """
-    return _choose_best_generic(
-        rows,
-        t_of=lambda r: r.least_t_max,
-        cost_of=lambda r: r.cost_per_hour,
-        budget=slo_budget,
-        slack=perf_slack_seconds,
-    )
+    if not rows:
+        raise ValueError("no candidates to choose from")
+    best_t = min(r.least_t_max for r in rows)
+    fitting = [r for r in rows if r.least_t_max <= slo_budget]
+    if not fitting:
+        return min(rows, key=lambda r: (r.least_t_max, r.cost_per_hour))
+    # "Within ~50 ms of the most performant" (the paper's rule), but
+    # when every candidate sits far inside the budget the comparison
+    # degenerates (at light load T_max values are all tiny and the
+    # fastest GPU always "wins" by more than the slack); any node with
+    # comfortable margin is equally good, so cost decides.
+    threshold = max(best_t + perf_slack_seconds, 0.8 * slo_budget)
+    window = [r for r in fitting if r.least_t_max <= threshold]
+    pool = window or fitting
+    return min(pool, key=lambda r: (r.cost_per_hour, r.least_t_max))
 
 
 @dataclass(frozen=True)
@@ -161,11 +126,10 @@ class CandidateTable:
     """Algorithm 1's ``HW_dict`` as parallel (columnar) numpy arrays.
 
     This is the public selection API: one tick's candidate scan lives in
-    one table — no per-candidate Python objects on the hot path.  Rows
-    (for attribution and report consumers) are materialised lazily via
-    :meth:`row` / :meth:`rows`; the recorded ``hardware_selection.tick``
-    payload (:meth:`as_trace_rows`) keeps the exact seed schema, so
-    ``repro.attribution/1`` replay is unchanged.
+    one table — no per-candidate Python objects on the hot path.  A row
+    is materialised on demand (:meth:`row`); the recorded
+    ``hardware_selection.tick`` payload (:meth:`as_trace_rows`) keeps the
+    exact seed schema, so ``repro.attribution/1`` replay is unchanged.
 
     Attributes
     ----------
@@ -180,8 +144,7 @@ class CandidateTable:
     cost_per_hour:
         Lease price per candidate.
     co_run:
-        Co-located batch count implied by ``best_y`` (``None`` on tables
-        packed from scalar evaluations, which never computed it).
+        Co-located batch count implied by ``best_y``.
     occupancy:
         Planned aggregate FBR (existing + new residents) at ``best_y``.
 
@@ -192,60 +155,29 @@ class CandidateTable:
     least_t_max: np.ndarray
     best_y: np.ndarray
     cost_per_hour: np.ndarray
-    co_run: Optional[np.ndarray] = None
-    occupancy: Optional[np.ndarray] = None
+    co_run: np.ndarray
+    occupancy: np.ndarray
 
     def __post_init__(self) -> None:
         for arr in (
             self.least_t_max, self.best_y, self.cost_per_hour,
             self.co_run, self.occupancy,
         ):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __iter__(self) -> Iterator[CandidateRow]:
-        return iter(self.rows())
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_evaluations(
-        cls, evaluations: list[CandidateEvaluation]
-    ) -> "CandidateTable":
-        """Pack scalar :class:`CandidateEvaluation` rows into a table
-        (the ``vectorized=False`` reference path; no co-run/occupancy
-        columns — the scalar scan never computed them)."""
-        return cls(
-            specs=tuple(e.hw for e in evaluations),
-            least_t_max=np.array(
-                [e.least_t_max for e in evaluations], dtype=np.float64
-            ),
-            best_y=np.array(
-                [math.nan if e.best_y is None else float(e.best_y)
-                 for e in evaluations],
-                dtype=np.float64,
-            ),
-            cost_per_hour=np.array(
-                [e.cost for e in evaluations], dtype=np.float64
-            ),
-        )
-
     # ------------------------------------------------------------------
     # Vectorised selection (choose_best_HW on arrays)
     # ------------------------------------------------------------------
-    def feasible_mask(self, budget: float) -> np.ndarray:
-        """Boolean mask of candidates whose best T_max fits ``budget``."""
-        return self.least_t_max <= budget
-
     def choose_best_index(self, budget: float, slack: float) -> int:
         """Vectorised ``choose_best_HW``: cheapest candidate within
-        ``slack`` of the most performant (see
-        :func:`_choose_best_generic`, whose semantics — including
-        first-index tie-breaking — this reproduces exactly)."""
+        ``slack`` of the most performant (see :func:`choose_best_row`,
+        whose semantics — including first-index tie-breaking — this
+        reproduces exactly).  Candidates violating ``budget`` are only
+        chosen when *nothing* fits, in which case the fastest wins
+        (graceful degradation — the Fig 13a regime)."""
         t = self.least_t_max
         if t.size == 0:
             raise ValueError("no candidates to choose from")
@@ -267,7 +199,7 @@ class CandidateTable:
         return None
 
     # ------------------------------------------------------------------
-    # Lazily-materialised row views (attribution / report consumers)
+    # Row views
     # ------------------------------------------------------------------
     def _best_y_at(self, i: int) -> Optional[int]:
         y = float(self.best_y[i])
@@ -281,21 +213,6 @@ class CandidateTable:
             best_y=self._best_y_at(i),
             cost_per_hour=float(self.cost_per_hour[i]),
         )
-
-    def rows(self) -> list[CandidateRow]:
-        return [self.row(i) for i in range(len(self.specs))]
-
-    def evaluations(self) -> list[CandidateEvaluation]:
-        """Materialise live-shaped rows (back-compat view)."""
-        return [
-            CandidateEvaluation(
-                hw=self.specs[i],
-                least_t_max=float(self.least_t_max[i]),
-                best_y=self._best_y_at(i),
-                cost=float(self.cost_per_hour[i]),
-            )
-            for i in range(len(self.specs))
-        ]
 
     def as_trace_rows(self) -> list[dict]:
         """The ``hardware_selection.tick`` candidate payload — the exact
@@ -313,20 +230,12 @@ class CandidateTable:
 
 @dataclass
 class SelectionOutcome:
-    """Result of one monitoring tick.
-
-    ``table`` is the columnar candidate scan; ``evaluations`` remains as a
-    lazily-materialised object view of the same rows.
-    """
+    """Result of one monitoring tick (``table`` is the candidate scan)."""
 
     chosen: HardwareSpec
     table: CandidateTable
     switch_requested: bool
     predicted_rps: float
-
-    @property
-    def evaluations(self) -> list[CandidateEvaluation]:
-        return self.table.evaluations()
 
 
 class HardwareSelector:
@@ -359,11 +268,6 @@ class HardwareSelector:
     latency_budget_fraction:
         Fraction of the SLO that T_max may consume (the rest absorbs
         batching wait, dispatch, and prediction error).
-    vectorized:
-        Run the candidate scan on the columnar :class:`CandidateTable`
-        grid (default).  ``False`` keeps the seed's row-by-row scan with
-        no memoisation — the oracle the golden bit-identity suite compares
-        against.
     """
 
     def __init__(
@@ -379,7 +283,6 @@ class HardwareSelector:
         wait_limit_down: int = 20,
         latency_budget_fraction: float = 0.85,
         is_available: Optional[Callable[[HardwareSpec], bool]] = None,
-        vectorized: bool = True,
     ) -> None:
         self.model = model
         self.profiles = profiles
@@ -392,7 +295,6 @@ class HardwareSelector:
         self.wait_limit_down = int(wait_limit_down)
         self.latency_budget_fraction = float(latency_budget_fraction)
         self.is_available = is_available or (lambda hw: True)
-        self.vectorized = bool(vectorized)
         #: Host-contention inflation per candidate (>= 1).  The default —
         #: no inflation — is the paper's model; the contention-aware
         #: extension (its stated future work) plugs in live estimates.
@@ -419,50 +321,6 @@ class HardwareSelector:
     # ------------------------------------------------------------------
     # Candidate evaluation (the par_for body of Algorithm 1)
     # ------------------------------------------------------------------
-    def evaluate(
-        self, hw: HardwareSpec, n_future: int, existing_fbr: float = 0.0
-    ) -> CandidateEvaluation:
-        """Best achievable worst-case latency of ``hw`` for ``n_future``
-        requests (Algorithm 1 steps c/d) — the scalar reference scan."""
-        budget = self.slo_seconds * self.latency_budget_fraction
-        batch = self.profiles.best_batch(self.model, hw, self.slo_seconds)
-        if batch == 0:
-            return CandidateEvaluation(
-                hw=hw, least_t_max=float("inf"), best_y=None,
-                cost=hw.price_per_hour,
-            )
-        solo = self.profiles.solo_time(self.model, hw, batch) * max(
-            1.0, self.contention_for(hw)
-        )
-        if not hw.is_gpu:
-            t = cpu_t_max(
-                n_future, batch, solo, hw.cpu_lanes,
-                horizon=self.plan_horizon_seconds,
-            )
-            return CandidateEvaluation(
-                hw=hw, least_t_max=t, best_y=None, cost=hw.price_per_hour
-            )
-        # The seed's per-call solve (frozen in _reference_model): this
-        # scalar scan is the cost oracle the vectorized table is measured
-        # against, so it must pay the seed's exact work.
-        decision = reference_optimal_split(
-            n=n_future,
-            batch_size=batch,
-            solo=solo,
-            fbr=self.profiles.fbr(self.model, hw),
-            slo_seconds=budget,
-            interference=self.profiles.interference,
-            existing_fbr=existing_fbr,
-            max_coresident=self.profiles.max_coresident(self.model, hw),
-            solo_single=self.profiles.solo_time(self.model, hw, 1),
-        )
-        return CandidateEvaluation(
-            hw=hw,
-            least_t_max=decision.t_max,
-            best_y=decision.y,
-            cost=hw.price_per_hour,
-        )
-
     def _hw_consts(self, hw: HardwareSpec) -> tuple:
         """Profiled per-candidate constants, resolved once per hardware:
         ``(batch, solo_base, fbr, max_coresident, solo_single, price)``.
@@ -620,25 +478,6 @@ class HardwareSelector:
         return entry
 
     # ------------------------------------------------------------------
-    # choose_best_HW (Algorithm 1 step e)
-    # ------------------------------------------------------------------
-    def choose_best(
-        self, evaluations: list[CandidateEvaluation]
-    ) -> HardwareSpec:
-        """Cheapest candidate within ``perf_slack`` of the most performant.
-
-        Candidates violating the SLO budget are only chosen when *nothing*
-        fits, in which case the fastest option wins (graceful degradation —
-        the Fig 13a regime)."""
-        return _choose_best_generic(
-            evaluations,
-            t_of=lambda e: e.least_t_max,
-            cost_of=lambda e: e.cost,
-            budget=self.slo_seconds * self.latency_budget_fraction,
-            slack=self.perf_slack_seconds,
-        ).hw
-
-    # ------------------------------------------------------------------
     # One monitoring tick (the outer loop of Algorithm 1)
     # ------------------------------------------------------------------
     def tick(
@@ -678,31 +517,12 @@ class HardwareSelector:
             # what emergency escalation is judged against.
             pool.append(current_hw)
         budget = self.slo_seconds * self.latency_budget_fraction
-        if self.vectorized:
-            entry = self._table_entry(
-                pool, n_future, current_hw, existing_fbr
-            )
-            table = entry[0]
-            if entry[1] is None:
-                entry[1] = table.choose_best_index(
-                    budget, self.perf_slack_seconds
-                )
-            chosen = table.specs[entry[1]]
-        else:
-            evaluations = [
-                self.evaluate(
-                    hw,
-                    n_future,
-                    # Residency only burdens the node that actually holds
-                    # it: a candidate we would switch to starts empty.
-                    existing_fbr=existing_fbr
-                    if current_hw is not None and hw.name == current_hw.name
-                    else 0.0,
-                )
-                for hw in pool
-            ]
-            chosen = self.choose_best(evaluations)
-            table = CandidateTable.from_evaluations(evaluations)
+        entry = self._table_entry(pool, n_future, current_hw, existing_fbr)
+        table = entry[0]
+        if entry[1] is None:
+            # choose_best_HW (Algorithm 1 step e).
+            entry[1] = table.choose_best_index(budget, self.perf_slack_seconds)
+        chosen = table.specs[entry[1]]
 
         switch = False
         emergency = False

@@ -282,8 +282,8 @@ def optimal_split_batch(
     :func:`t_max_curve`'s expression structure and operation order, so each
     grid element carries the *identical IEEE-754 bits* a per-candidate 1-D
     sweep would produce, and ``np.argmin`` resolves ties by first index in
-    both shapes.  The golden-trace suite holds the vectorized selector to
-    this contract against the scalar seed path.
+    both shapes.  The golden-trace suite holds the columnar selector to
+    this contract against the scalar seed scan kept in ``tests/oracles/``.
 
     Returns
     -------

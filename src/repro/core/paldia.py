@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from repro.baselines.base import PlannedBatch, Policy, WindowPlan
 from repro.framework.batching import carve_sizes
-from repro.core._reference_model import reference_optimal_split
 from repro.core.hardware_selection import HardwareSelector
 from repro.core.model import optimal_split
 from repro.core.predictor import EWMAPredictor, RatePredictor
@@ -43,10 +42,6 @@ class PaldiaPolicy(Policy):
         ~4 s).
     latency_budget_fraction:
         Fraction of the SLO that predicted T_max may consume.
-    vectorized:
-        Run the columnar/memoised hot path (default).  ``False`` restores
-        the seed's uncached scalar scan and per-call Equation-(1) solves —
-        the oracle the golden bit-identity suite compares against.
     """
 
     name = "paldia"
@@ -64,12 +59,9 @@ class PaldiaPolicy(Policy):
         plan_horizon_seconds: float = 0.1,
         latency_budget_fraction: float = 0.85,
         occupancy_cap_knees: float = 2.0,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(model, profiles, slo_seconds)
         self.predictor = predictor if predictor is not None else EWMAPredictor()
-        self.vectorized = bool(vectorized)
-        self._memoize_profiles = self.vectorized
         self.selector = HardwareSelector(
             model=model,
             profiles=profiles,
@@ -81,7 +73,6 @@ class PaldiaPolicy(Policy):
             wait_limit=wait_limit,
             wait_limit_down=wait_limit_down,
             latency_budget_fraction=latency_budget_fraction,
-            vectorized=vectorized,
         )
         self.latency_budget_fraction = float(latency_budget_fraction)
         self.occupancy_cap_knees = float(occupancy_cap_knees)
@@ -148,14 +139,11 @@ class PaldiaPolicy(Policy):
             )
         solo = self._effective_solo(hw, batch)
         key = (hw.name, n, batch, solo, existing_fbr, existing_queue)
-        cached = self._split_cache.get(key) if self.vectorized else None
+        cached = self._split_cache.get(key)
         if cached is not None:
             decision, plan = cached
         else:
-            # Reference mode pays the seed's exact per-call solve cost;
-            # both solvers return bit-identical decisions.
-            solver = optimal_split if self.vectorized else reference_optimal_split
-            decision = solver(
+            decision = optimal_split(
                 n=n,
                 batch_size=batch,
                 solo=solo,
@@ -185,10 +173,9 @@ class PaldiaPolicy(Policy):
                 y=decision.y,
                 predicted_t_max=decision.t_max,
             )
-            if self.vectorized:
-                if len(self._split_cache) >= 4096:
-                    self._split_cache.clear()
-                self._split_cache[key] = (decision, plan)
+            if len(self._split_cache) >= 4096:
+                self._split_cache.clear()
+            self._split_cache[key] = (decision, plan)
         if self.tracer.enabled:
             self.tracer.event(
                 "job_distribution.split",

@@ -21,12 +21,17 @@ from repro.experiments.runner import run_matrix
 from repro.experiments.schemes import SCHEMES
 from repro.experiments.trace_factories import azure_factory, poisson_factory
 from repro.framework.system import RunConfig
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 
-__all__ = ["run", "EXHAUSTION_MODEL", "FAILURE_MODEL"]
+__all__ = ["run", "EXHAUSTION_MODEL", "FAILURE_MODEL", "FAILURE_CONFIG"]
 
 EXHAUSTION_MODEL = "googlenet"
 FAILURE_MODEL = "densenet121"
+#: Fig 13b's node failures: the serving node is down for one minute out
+#: of every two, starting at t = 60 s.
+FAILURE_CONFIG = RunConfig(
+    chaos=ChaosSpec(faults=(PeriodicOutage(120.0, 60.0, first_failure_at=60.0),))
+)
 
 
 @register_experiment("fig13", title="Resource exhaustion and node failures")
@@ -58,17 +63,12 @@ def run(
              round(s.slo_compliance_percent, 2), round(s.cost_dollars, 4)]
         )
     # --- (b) node failures ----------------------------------------------
-    config = RunConfig(
-        failure_schedule=FailureSchedule(
-            period_seconds=120.0, downtime_seconds=60.0, first_failure_at=60.0
-        )
-    )
     matrix = run_matrix(
         schemes=SCHEMES,
         model_names=[FAILURE_MODEL],
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        config=config,
+        config=FAILURE_CONFIG,
         parallel=parallel,
         seed0=seed0,
     )

@@ -1,17 +1,13 @@
 """Chaos engine: composable, seeded, replayable fault injection.
 
 The paper's fault study (Fig 13b) models exactly one pattern — the in-use
-node down 60 s out of every 120 s — which :class:`~repro.simulator.
-failures.FailureInjector` reproduces.  Real heterogeneous fleets see much
+node down 60 s out of every 120 s.  Real heterogeneous fleets see much
 more: stochastic crashes, transient stragglers, cold-start failures,
 container OOM kills mid-batch, and partial faults that take out only the
-MPS (spatial-sharing) path.  This module generalises the injector into a
-:class:`ChaosEngine` driving a composable set of *fault specs*:
+MPS (spatial-sharing) path.  This module is the one fault-injection path:
+a :class:`ChaosEngine` driving a composable set of *fault specs*:
 
-* :class:`PeriodicOutage` — the legacy deterministic pattern; a
-  :class:`~repro.simulator.failures.FailureSchedule` expressed as a spec
-  (see :meth:`ChaosSpec.from_failure_schedule`) replays the Fig 13b
-  study exactly.
+* :class:`PeriodicOutage` — the paper's deterministic pattern (Fig 13b).
 * :class:`StochasticCrashes` — node crashes with exponential
   inter-arrival times and a fixed outage duration.
 * :class:`Slowdowns` — transient stragglers: newly submitted work on the
@@ -40,17 +36,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.simulator.engine import Simulator
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator.failures import FailureSchedule
 
 __all__ = [
     "ChaosEngine",
@@ -69,9 +63,36 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Fault specs
 # ----------------------------------------------------------------------
+def _check_fault(kind: str, onset: float = 0.0, **positive: float) -> None:
+    """Shared fault-spec validation: the onset must be finite and
+    non-negative (the simulator clock cannot schedule in the past), and
+    every duration, mean gap, or factor in ``positive`` finite and > 0.
+    NaN fails every comparison, so it is rejected too."""
+    if not 0.0 <= onset < math.inf:
+        raise ValueError(
+            f"{kind}: onset must be finite and >= 0, got {onset!r}"
+        )
+    for name, value in positive.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"{kind}: {name} must be finite and > 0, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class PeriodicOutage:
-    """The legacy deterministic outage cadence (Fig 13b)."""
+    """The paper's deterministic outage cadence (Fig 13b).
+
+    Attributes
+    ----------
+    period_seconds:
+        Interval between failure onsets (the paper: every other minute,
+        so 120 s between onsets of the 60 s outages).
+    downtime_seconds:
+        How long each outage lasts (60 s in the paper).
+    first_failure_at:
+        Offset of the first outage.
+    """
 
     period_seconds: float = 120.0
     downtime_seconds: float = 60.0
@@ -79,10 +100,13 @@ class PeriodicOutage:
     kind: str = field(default="periodic_outage", init=False)
 
     def __post_init__(self) -> None:
+        _check_fault(
+            self.kind, self.first_failure_at,
+            period_seconds=self.period_seconds,
+            downtime_seconds=self.downtime_seconds,
+        )
         if self.downtime_seconds >= self.period_seconds:
             raise ValueError("downtime must be shorter than the period")
-        if min(self.period_seconds, self.downtime_seconds) <= 0:
-            raise ValueError("outage times must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,8 +130,11 @@ class StochasticCrashes:
     kind: str = field(default="stochastic_crashes", init=False)
 
     def __post_init__(self) -> None:
-        if self.mean_interarrival_seconds <= 0 or self.downtime_seconds <= 0:
-            raise ValueError("crash times must be positive")
+        _check_fault(
+            self.kind, self.first_crash_after,
+            mean_interarrival_seconds=self.mean_interarrival_seconds,
+            downtime_seconds=self.downtime_seconds,
+        )
 
 
 @dataclass(frozen=True)
@@ -121,10 +148,14 @@ class Slowdowns:
     kind: str = field(default="slowdowns", init=False)
 
     def __post_init__(self) -> None:
+        _check_fault(
+            self.kind, self.first_after,
+            mean_interarrival_seconds=self.mean_interarrival_seconds,
+            duration_seconds=self.duration_seconds,
+            factor=self.factor,
+        )
         if self.factor < 1.0:
             raise ValueError("a slowdown cannot speed execution up")
-        if self.mean_interarrival_seconds <= 0 or self.duration_seconds <= 0:
-            raise ValueError("slowdown times must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,8 +174,7 @@ class ColdStartFailures:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability < 1.0:
             raise ValueError("cold-start failure probability must be in [0, 1)")
-        if self.extra_delay_factor <= 0:
-            raise ValueError("extra delay factor must be positive")
+        _check_fault(self.kind, extra_delay_factor=self.extra_delay_factor)
 
 
 @dataclass(frozen=True)
@@ -156,8 +186,10 @@ class OOMKills:
     kind: str = field(default="oom_kills", init=False)
 
     def __post_init__(self) -> None:
-        if self.mean_interarrival_seconds <= 0:
-            raise ValueError("OOM inter-arrival must be positive")
+        _check_fault(
+            self.kind, self.first_after,
+            mean_interarrival_seconds=self.mean_interarrival_seconds,
+        )
 
 
 @dataclass(frozen=True)
@@ -174,8 +206,11 @@ class MPSFaults:
     kind: str = field(default="mps_faults", init=False)
 
     def __post_init__(self) -> None:
-        if self.mean_interarrival_seconds <= 0 or self.duration_seconds <= 0:
-            raise ValueError("MPS-fault times must be positive")
+        _check_fault(
+            self.kind, self.first_after,
+            mean_interarrival_seconds=self.mean_interarrival_seconds,
+            duration_seconds=self.duration_seconds,
+        )
 
 
 FaultSpec = Union[
@@ -209,27 +244,6 @@ class ChaosSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
-
-    # -------------------------------------------------- legacy bridge --
-    @classmethod
-    def from_failure_schedule(
-        cls, schedule: "FailureSchedule", seed: int = 0
-    ) -> "ChaosSpec":
-        """Express the legacy periodic :class:`FailureSchedule` as a spec.
-
-        A run driven by this spec is bit-identical to one driven by the
-        legacy :class:`~repro.simulator.failures.FailureInjector`.
-        """
-        return cls(
-            faults=(
-                PeriodicOutage(
-                    period_seconds=schedule.period_seconds,
-                    downtime_seconds=schedule.downtime_seconds,
-                    first_failure_at=schedule.first_failure_at,
-                ),
-            ),
-            seed=seed,
-        )
 
     # ------------------------------------------------------ JSON forms --
     def to_dict(self) -> dict:
@@ -306,8 +320,8 @@ class ChaosEngine:
         Framework callbacks (see :class:`ChaosHooks`).
     horizon:
         No fault *onset* fires at or past this time (end of trace);
-        recoveries of already-active faults may still land after it,
-        matching the legacy injector's semantics.  Keyword-only.
+        recoveries of already-active faults may still land after it.
+        Keyword-only.
     tracer:
         Decision-audit sink; faults emit paired ``chaos.inject`` /
         ``chaos.recover`` events carrying the fault ``kind``.
@@ -386,7 +400,7 @@ class ChaosEngine:
                 raise TypeError(f"unknown fault spec {fault!r}")
 
     # ------------------------------------------------------------------
-    # Node outages (periodic: mirrors FailureInjector event-for-event)
+    # Node outages
     # ------------------------------------------------------------------
     def _arm_periodic(self, fault: PeriodicOutage) -> None:
         self.sim.schedule_at(

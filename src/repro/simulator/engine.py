@@ -28,7 +28,7 @@ Design notes
   profiled or unprofiled loop body, so the common (unprofiled) hot loop
   pays no per-event profiler check at all.  See
   ``docs/PERFORMANCE.md`` for measurements; the seed dataclass engine is
-  preserved in :mod:`repro.simulator._reference` as the golden-trace and
+  preserved with the tests (``tests/oracles/``) as the golden-trace and
   benchmark baseline.
 """
 

@@ -103,6 +103,28 @@ class TestCommands:
         assert "g3s.xlarge" in capsys.readouterr().out
 
 
+class TestChaosSpecErrors:
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"kind": "periodic_outage", "first_failure_at": -5.0},
+            {"kind": "periodic_outage", "period_seconds": float("nan")},
+            {"kind": "stochastic_crashes", "first_crash_after": float("nan")},
+            {"kind": "stochastic_crashes", "first_crash_after": -1.0},
+        ],
+        ids=["negative-onset", "nan-period", "nan-crash-onset",
+             "negative-crash-onset"],
+    )
+    def test_invalid_times_exit_1(self, capsys, tmp_path, fault):
+        path = tmp_path / "F.json"
+        # json.dumps writes NaN as the bare literal, as a hand-edited
+        # spec would carry it.
+        path.write_text(json.dumps({"faults": [fault]}))
+        argv = ["run", "resnet50", "--duration", "30", "--chaos", str(path)]
+        assert main(argv) == 1
+        assert "invalid chaos spec" in capsys.readouterr().out
+
+
 class TestTelemetryFlags:
     def test_trace_out_flag_parses(self):
         args = build_parser().parse_args(

@@ -21,41 +21,51 @@ def prime(selector, rate):
         selector.predictor.observe(rate, 0.0)
 
 
+def choose(sel, table):
+    """``choose_best_HW`` over a scanned table, as ``tick`` runs it."""
+    budget = sel.slo_seconds * sel.latency_budget_fraction
+    return table.specs[table.choose_best_index(budget, sel.perf_slack_seconds)]
+
+
 class TestEvaluate:
     def test_cpu_uses_lane_model(self, profiles, resnet50, cpu_node):
         sel = make_selector(profiles, resnet50)
-        ev = sel.evaluate(cpu_node, n_future=4)
-        assert ev.best_y is None
-        assert ev.least_t_max > 0
+        row = sel.evaluate_pool([cpu_node], n_future=4).row(0)
+        assert row.best_y is None
+        assert row.least_t_max > 0
 
     def test_gpu_solves_equation_one(self, profiles, resnet50, m60):
         sel = make_selector(profiles, resnet50)
-        ev = sel.evaluate(m60, n_future=20)
-        assert ev.best_y is not None
-        assert ev.least_t_max > 0
+        row = sel.evaluate_pool([m60], n_future=20).row(0)
+        assert row.best_y is not None
+        assert row.least_t_max > 0
 
     def test_incapable_node_infinite(self, profiles, bert, catalog):
         sel = make_selector(profiles, bert)
-        ev = sel.evaluate(catalog.get("m4.xlarge"), n_future=4)
-        assert ev.least_t_max == float("inf")
+        row = sel.evaluate_pool([catalog.get("m4.xlarge")], n_future=4).row(0)
+        assert row.least_t_max == float("inf")
 
 
 class TestChooseBest:
     def test_cheapest_wins_when_all_comfortable(self, profiles, resnet50, cpu_node):
         sel = make_selector(profiles, resnet50)
-        evs = [sel.evaluate(hw, 3) for hw in profiles.catalog.by_cost()]
-        chosen = sel.choose_best([e for e in evs if e.least_t_max != float("inf")])
+        scan = sel.evaluate_pool(list(profiles.catalog.by_cost()), 3)
+        capable = [
+            hw for hw, t in zip(scan.specs, scan.least_t_max)
+            if t != float("inf")
+        ]
+        chosen = choose(sel, sel.evaluate_pool(capable, 3))
         assert chosen.price_per_hour <= profiles.catalog.get("g3s.xlarge").price_per_hour
 
     def test_degrades_to_fastest_when_nothing_fits(self, profiles, resnet50):
         sel = make_selector(profiles, resnet50)
-        evs = [sel.evaluate(hw, 100000) for hw in profiles.catalog.gpus()]
-        chosen = sel.choose_best(evs)
+        chosen = choose(sel, sel.evaluate_pool(profiles.catalog.gpus(), 100000))
         assert chosen.name == "p3.2xlarge"
 
     def test_empty_candidates_rejected(self, profiles, resnet50):
+        sel = make_selector(profiles, resnet50)
         with pytest.raises(ValueError):
-            make_selector(profiles, resnet50).choose_best([])
+            choose(sel, sel.evaluate_pool([], 3))
 
 
 class TestTick:
@@ -112,7 +122,6 @@ class TestTick:
     def test_backlog_escalates_selection(self, profiles, resnet50, m60):
         sel = make_selector(profiles, resnet50)
         prime(sel, 100.0)
-        calm = sel.evaluate(m60, n_future=10)
         out = sel.tick(0.0, m60, backlog=2000)
         # with a huge backlog the chosen node outranks the loaded M60
         assert out.chosen.perf_rank <= m60.perf_rank

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.system import RunConfig, ServerlessRun
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.workloads.traces import constant_trace
 
 
@@ -73,11 +73,11 @@ class TestFailoverChoice:
 class TestFailureIntegration:
     def test_failed_spec_excluded_until_recovery(self, resnet50, profiles, slo):
         trace = constant_trace(10.0, 130.0)
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(
                 period_seconds=100.0, downtime_seconds=40.0, first_failure_at=30.0
-            )
-        )
+            ),
+        )))
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
         r = run.execute()
@@ -89,11 +89,11 @@ class TestFailureIntegration:
     def test_deescalation_suppressed_during_outage(self, resnet50, profiles,
                                                    slo, monkeypatch):
         trace = constant_trace(10.0, 120.0)
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(
                 period_seconds=100.0, downtime_seconds=60.0, first_failure_at=20.0
-            )
-        )
+            ),
+        )))
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
         r = run.execute()

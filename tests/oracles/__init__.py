@@ -1,0 +1,13 @@
+"""Frozen seed oracles, kept with the tests and nowhere else.
+
+* :mod:`tests.oracles.reference_simulator` — the seed discrete-event
+  engine (``ReferenceSimulator``);
+* :mod:`tests.oracles.reference_model` — the seed Equation-(1) solvers;
+* :mod:`tests.oracles.reference_policy` — the seed's uncached Paldia
+  policy: the row-by-row Algorithm 1 scan and per-call solves.
+
+The production tree has one policy code path; the golden suites
+(``tests/simulator/test_golden_*.py``) and the engine benchmark hold it
+to bit identity and speed against these.  Nothing under ``src/`` may
+import this package (``tests/test_layering.py``).  Do not optimise it.
+"""

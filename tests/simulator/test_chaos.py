@@ -1,4 +1,4 @@
-"""Tests for the chaos engine: spec JSON, replay, and legacy equivalence."""
+"""Tests for the chaos engine: spec JSON, validation, replay, full runs."""
 
 import pytest
 
@@ -18,9 +18,9 @@ from repro.simulator.chaos import (
     StochasticCrashes,
 )
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.workloads.models import get_model
 from repro.workloads.traces import azure_trace
+from tests.simulator.test_outage_fingerprints import fingerprint, result_fingerprint
 
 ALL_FAULTS = (
     PeriodicOutage(90.0, 30.0, first_failure_at=10.0),
@@ -32,7 +32,49 @@ ALL_FAULTS = (
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: One bad time (or factor) per field, for every fault kind: onsets must be
+#: finite and non-negative, spans finite and positive.
+INVALID_FAULTS = [
+    (PeriodicOutage, {"first_failure_at": -5.0}),
+    (PeriodicOutage, {"first_failure_at": INF}),
+    (PeriodicOutage, {"period_seconds": NAN}),
+    (PeriodicOutage, {"downtime_seconds": NAN}),
+    (StochasticCrashes, {"first_crash_after": NAN}),
+    (StochasticCrashes, {"first_crash_after": -1.0}),
+    (StochasticCrashes, {"mean_interarrival_seconds": INF}),
+    (StochasticCrashes, {"downtime_seconds": NAN}),
+    (Slowdowns, {"first_after": -1.0}),
+    (Slowdowns, {"duration_seconds": NAN}),
+    (Slowdowns, {"factor": NAN}),
+    (Slowdowns, {"factor": INF}),
+    (ColdStartFailures, {"probability": NAN}),
+    (ColdStartFailures, {"extra_delay_factor": NAN}),
+    (ColdStartFailures, {"extra_delay_factor": INF}),
+    (OOMKills, {"first_after": NAN}),
+    (OOMKills, {"mean_interarrival_seconds": NAN}),
+    (MPSFaults, {"first_after": -0.5}),
+    (MPSFaults, {"duration_seconds": INF}),
+]
+
+
 class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "fault_cls, kwargs", INVALID_FAULTS,
+        ids=[f"{c.__name__}-{next(iter(kw))}={next(iter(kw.values()))}"
+             for c, kw in INVALID_FAULTS],
+    )
+    def test_non_finite_or_negative_times_rejected(self, fault_cls, kwargs):
+        with pytest.raises(ValueError):
+            fault_cls(**kwargs)
+
+    def test_invalid_cases_cover_every_fault_kind(self):
+        assert {c for c, _ in INVALID_FAULTS} == {type(f) for f in ALL_FAULTS}
+
+    def test_zero_onset_is_valid(self):
+        assert PeriodicOutage(first_failure_at=0.0).first_failure_at == 0.0
+
     def test_periodic_downtime_must_fit_period(self):
         with pytest.raises(ValueError):
             PeriodicOutage(period_seconds=60.0, downtime_seconds=60.0)
@@ -79,43 +121,29 @@ class TestSpecJSON:
         with pytest.raises(ValueError, match="unknown fault kind"):
             ChaosSpec.from_dict({"faults": [{"kind": "gamma_rays"}]})
 
-    def test_from_failure_schedule(self):
-        schedule = FailureSchedule(100.0, 40.0, first_failure_at=15.0)
-        spec = ChaosSpec.from_failure_schedule(schedule, seed=2)
-        assert spec.seed == 2
-        (fault,) = spec.faults
-        assert isinstance(fault, PeriodicOutage)
-        assert fault.period_seconds == 100.0
-        assert fault.downtime_seconds == 40.0
-        assert fault.first_failure_at == 15.0
+
+#: Event streams of the retired single-pattern failure injector for
+#: ``(period 100, downtime 40, first failure 10)``, recorded before it was
+#: deleted: the periodic outage must keep its horizon semantics exactly.
+LEGACY_INJECTOR_EVENTS = {
+    250.0: [("fail", 10.0), ("recover", 50.0), ("fail", 110.0),
+            ("recover", 150.0), ("fail", 210.0), ("recover", 250.0)],
+    20.0: [("fail", 10.0), ("recover", 50.0)],
+    10.0: [],
+}
 
 
 class TestLegacyInjectorEquivalence:
-    """A from_failure_schedule spec fires event-for-event with the
-    legacy injector, including the horizon semantics."""
+    """A periodic outage fires event-for-event with the retired legacy
+    injector's recorded stream, including the horizon semantics."""
 
     @pytest.mark.parametrize("horizon", [250.0, 20.0, 10.0])
     def test_event_times_identical(self, horizon):
-        schedule = FailureSchedule(100.0, 40.0, first_failure_at=10.0)
-
-        legacy_sim = Simulator()
-        legacy_events = []
-        FailureInjector(
-            legacy_sim,
-            schedule,
-            on_fail=lambda: legacy_events.append(("fail", legacy_sim.now)),
-            on_recover=lambda: legacy_events.append(
-                ("recover", legacy_sim.now)
-            ),
-            horizon=horizon,
-        ).start()
-        legacy_sim.run()
-
         chaos_sim = Simulator()
         chaos_events = []
         engine = ChaosEngine(
             chaos_sim,
-            ChaosSpec.from_failure_schedule(schedule),
+            ChaosSpec(faults=(PeriodicOutage(100.0, 40.0, first_failure_at=10.0),)),
             ChaosHooks(
                 on_node_fail=lambda: chaos_events.append(
                     ("fail", chaos_sim.now)
@@ -129,7 +157,7 @@ class TestLegacyInjectorEquivalence:
         engine.start()
         chaos_sim.run()
 
-        assert chaos_events == legacy_events
+        assert chaos_events == LEGACY_INJECTOR_EVENTS[horizon]
 
 
 class TestDeterministicReplay:
@@ -271,36 +299,35 @@ def _run(model_name, duration, config, slo_seconds=0.2, peak=None):
     return ServerlessRun(model, trace, policy, profiles, slo, config).execute()
 
 
-def _fingerprint(r):
-    return (
-        r.slo_compliance, r.total_cost, r.p50_seconds, r.p99_seconds,
-        r.completed_requests, r.unserved_requests, r.n_switches,
-        r.cold_starts, tuple(r.switch_log), tuple(sorted(r.tail_breakdown.items())),
-    )
+#: ``fingerprint()`` of the run below on the retired legacy failure
+#: injector, recorded before it was deleted (see
+#: ``test_outage_fingerprints.py`` for the other recorded runs).
+LEGACY_SCHEDULE_FINGERPRINT = (
+    "ee33bb094971edc5293a449efdecb4623a77bf7b1e0a9ccb373fa91fc6380421",
+    "36400bf9fc6909ed8301460a0628ce05a0f52f85b6bbc37606606c8e8cafbb08",
+    0.07450277777777779,
+    (
+        (0.0, "-", "g3s.xlarge"),
+        (30.5, "-", "p3.2xlarge"),
+        (57.5, "p3.2xlarge", "p2.xlarge"),
+        (65.5, "p2.xlarge", "g3s.xlarge"),
+        (90.5, "-", "p3.2xlarge"),
+        (115.0, "p3.2xlarge", "c6i.4xlarge"),
+    ),
+)
 
 
 class TestRunLevelContracts:
-    def test_mutually_exclusive_with_failure_schedule(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            RunConfig(
-                failure_schedule=FailureSchedule(120.0, 60.0),
-                chaos=ChaosSpec.from_failure_schedule(
-                    FailureSchedule(120.0, 60.0)
-                ),
-            )
-
     def test_legacy_schedule_as_chaos_is_bit_identical(self):
-        """The Fig 13b schedule replayed through the chaos engine produces
-        the exact same RunResult as the legacy injector."""
-        schedule = FailureSchedule(60.0, 20.0, first_failure_at=25.0)
-        legacy = _run(
-            "resnet50", 120.0, RunConfig(failure_schedule=schedule)
-        )
+        """A periodic outage through the chaos engine produces the exact
+        RunResult the legacy injector recorded for the same schedule."""
         chaos = _run(
             "resnet50", 120.0,
-            RunConfig(chaos=ChaosSpec.from_failure_schedule(schedule)),
+            RunConfig(chaos=ChaosSpec(
+                faults=(PeriodicOutage(60.0, 20.0, first_failure_at=25.0),)
+            )),
         )
-        assert _fingerprint(chaos) == _fingerprint(legacy)
+        assert fingerprint(chaos) == LEGACY_SCHEDULE_FINGERPRINT
 
     def test_stochastic_spec_replays_bit_identically(self):
         config = RunConfig(
@@ -311,7 +338,7 @@ class TestRunLevelContracts:
         )
         first = _run("bert", 180.0, config, slo_seconds=10.0)
         second = _run("bert", 180.0, config, slo_seconds=10.0)
-        assert _fingerprint(first) == _fingerprint(second)
+        assert result_fingerprint(first) == result_fingerprint(second)
 
     def test_oom_kills_are_requeued(self):
         r = _run(

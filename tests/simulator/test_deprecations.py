@@ -19,7 +19,7 @@ from repro.framework.system import ServerlessRun
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
+from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec, PeriodicOutage
 from repro.telemetry import NULL_TRACER, Tracer
 
 
@@ -70,13 +70,12 @@ class TestClusterKeywordOnly:
         assert cluster.tracer is tracer
 
 
-class TestFailureInjectorKeywordOnly:
+class TestChaosEngineKeywordOnly:
     def _make(self, *tail, **kw):
-        return FailureInjector(
+        return ChaosEngine(
             Simulator(),
-            FailureSchedule(120.0, 60.0),
-            lambda: None,
-            lambda: None,
+            ChaosSpec(faults=(PeriodicOutage(120.0, 60.0),)),
+            ChaosHooks(),
             *tail,
             **kw,
         )
@@ -93,9 +92,9 @@ class TestFailureInjectorKeywordOnly:
         tracer = Tracer()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inj = self._make(horizon=100.0, tracer=tracer)
-        assert inj.horizon == 100.0
-        assert inj.tracer is tracer
+            engine = self._make(horizon=100.0, tracer=tracer)
+        assert engine.horizon == 100.0
+        assert engine.tracer is tracer
 
 
 class TestServerlessRunKeywordOnly:

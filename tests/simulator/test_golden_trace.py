@@ -3,7 +3,7 @@
 The engine rewrite's contract is *bit-identical* ``(time, priority, seq)``
 dispatch ordering.  These tests drive the optimised
 :class:`~repro.simulator.engine.Simulator` and the preserved seed
-:class:`~repro.simulator._reference.ReferenceSimulator` through
+:class:`~tests.oracles.reference_simulator.ReferenceSimulator` through
 
 * a randomized schedule/cancel/priority script at the engine level, and
 * full :class:`~repro.framework.system.ServerlessRun` workloads
@@ -20,10 +20,10 @@ from repro.experiments.schemes import make_policy
 from repro.framework.slo import SLO
 from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
-from repro.simulator._reference import ReferenceSimulator
 from repro.simulator.engine import Simulator
 from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
+from tests.oracles.reference_simulator import ReferenceSimulator
 
 
 class Recorder:

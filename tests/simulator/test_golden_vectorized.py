@@ -7,18 +7,18 @@ split decisions and window plans.  Its contract is *bit identity*: every
 per-request completion time and the run's total cost must carry the
 exact IEEE-754 bits the seed stack produces.
 
-The oracle here is the full seed stack —
-:class:`~repro.simulator._reference.ReferenceSimulator` (the preserved
-seed engine) driving ``PaldiaPolicy(vectorized=False)`` (the seed's
-uncached row-by-row scan and per-call solves, frozen verbatim in
-``repro.core._reference_model``).  The candidate stack is the current
-one: the tuple-heap :class:`~repro.simulator.engine.Simulator` with the
-columnar ``vectorized=True`` core.
+The oracle here is the full seed stack from ``tests/oracles/`` —
+:class:`~tests.oracles.reference_simulator.ReferenceSimulator` (the
+preserved seed engine) driving the reference policies of
+:mod:`tests.oracles.reference_policy` (the seed's uncached row-by-row
+scan and per-call solves).  The candidate stack is the production one:
+the tuple-heap :class:`~repro.simulator.engine.Simulator` with the
+columnar policy core.
 
 Covered regimes: every model in the catalog (all 16, Azure-signature
 traces), chaos injection (crashes + slowdowns + MPS faults), retry-based
-resilience, the contention-aware policy variant, and multi-model
-co-location.
+resilience, the contention-aware and Oracle policy variants, and
+multi-model co-location.
 """
 
 import numpy as np
@@ -31,20 +31,25 @@ from repro.framework.multimodel import Deployment, MultiModelRun
 from repro.framework.slo import SLO
 from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
-from repro.simulator._reference import ReferenceSimulator
 from repro.simulator.chaos import ChaosSpec, MPSFaults, Slowdowns, StochasticCrashes
 from repro.simulator.engine import Simulator
 from repro.workloads.models import ALL_MODELS, get_model
 from repro.workloads.traces import azure_trace, constant_trace, poisson_trace
+from tests.oracles.reference_policy import (
+    ReferenceHardwareSelector,
+    ReferencePaldiaPolicy,
+    make_reference_policy,
+)
+from tests.oracles.reference_simulator import ReferenceSimulator
 
 
-def _execute(model_name, *, scheme, vectorized, duration, trace_kind,
+def _execute(model_name, *, scheme, reference, duration, trace_kind,
              seed, config=None):
     """One full run on the chosen stack; returns the RunResult.
 
-    ``vectorized`` selects the whole stack: the seed oracle pairs the
-    reference engine with the policy's reference mode, the candidate
-    pairs the tuple-heap engine with the columnar core.
+    ``reference`` selects the whole stack: the seed oracle pairs the
+    reference engine with the reference policy, the candidate pairs the
+    tuple-heap engine with the production policy.
     """
     model = get_model(model_name)
     profiles = ProfileService()
@@ -57,19 +62,11 @@ def _execute(model_name, *, scheme, vectorized, duration, trace_kind,
         trace = azure_trace(
             peak_rps=model.peak_rps, duration=duration, seed=seed
         )
-    if scheme == "paldia":
-        policy = PaldiaPolicy(
-            model, profiles, slo.target_seconds, vectorized=vectorized
-        )
-    else:
-        policy = make_policy(
-            scheme, model, profiles, slo.target_seconds, trace
-        )
-        policy.vectorized = vectorized
-        policy._memoize_profiles = vectorized
-        policy.selector.vectorized = vectorized
+    make = make_reference_policy if reference else make_policy
+    policy = make(scheme, model, profiles, slo.target_seconds, trace)
+    assert isinstance(policy.selector, ReferenceHardwareSelector) == reference
     cfg = config if config is not None else RunConfig(seed=seed)
-    sim = Simulator() if vectorized else ReferenceSimulator()
+    sim = ReferenceSimulator() if reference else Simulator()
     return ServerlessRun(
         model, trace, policy, profiles, slo, cfg, sim=sim
     ).execute()
@@ -95,8 +92,8 @@ def _assert_bit_identical(oracle, candidate):
 @pytest.mark.parametrize("model_name", [m.name for m in ALL_MODELS])
 def test_all_models_bit_identical(model_name):
     kw = dict(scheme="paldia", duration=20.0, trace_kind="azure", seed=4)
-    oracle = _execute(model_name, vectorized=False, **kw)
-    candidate = _execute(model_name, vectorized=True, **kw)
+    oracle = _execute(model_name, reference=True, **kw)
+    candidate = _execute(model_name, reference=False, **kw)
     _assert_bit_identical(oracle, candidate)
 
 
@@ -116,8 +113,8 @@ def test_chaos_bit_identical():
         )
 
     kw = dict(scheme="paldia", duration=40.0, trace_kind="poisson", seed=3)
-    oracle = _execute("resnet50", vectorized=False, config=cfg(), **kw)
-    candidate = _execute("resnet50", vectorized=True, config=cfg(), **kw)
+    oracle = _execute("resnet50", reference=True, config=cfg(), **kw)
+    candidate = _execute("resnet50", reference=False, config=cfg(), **kw)
     _assert_bit_identical(oracle, candidate)
 
 
@@ -130,8 +127,8 @@ def test_resilience_retry_bit_identical():
         )
 
     kw = dict(scheme="paldia", duration=40.0, trace_kind="poisson", seed=5)
-    oracle = _execute("resnet50", vectorized=False, config=cfg(), **kw)
-    candidate = _execute("resnet50", vectorized=True, config=cfg(), **kw)
+    oracle = _execute("resnet50", reference=True, config=cfg(), **kw)
+    candidate = _execute("resnet50", reference=False, config=cfg(), **kw)
     _assert_bit_identical(oracle, candidate)
 
 
@@ -140,12 +137,19 @@ def test_contention_aware_bit_identical():
         scheme="paldia_contention_aware", duration=30.0,
         trace_kind="poisson", seed=2,
     )
-    oracle = _execute("resnet50", vectorized=False, **kw)
-    candidate = _execute("resnet50", vectorized=True, **kw)
+    oracle = _execute("resnet50", reference=True, **kw)
+    candidate = _execute("resnet50", reference=False, **kw)
     _assert_bit_identical(oracle, candidate)
 
 
-def _multimodel(vectorized):
+def test_oracle_policy_bit_identical():
+    kw = dict(scheme="oracle", duration=30.0, trace_kind="azure", seed=6)
+    oracle = _execute("resnet50", reference=True, **kw)
+    candidate = _execute("resnet50", reference=False, **kw)
+    _assert_bit_identical(oracle, candidate)
+
+
+def _multimodel(policy_cls):
     profiles = ProfileService()
     slo = SLO()
     deps = []
@@ -155,9 +159,7 @@ def _multimodel(vectorized):
             Deployment(
                 m,
                 constant_trace(rate, 40.0),
-                PaldiaPolicy(
-                    m, profiles, slo.target_seconds, vectorized=vectorized
-                ),
+                policy_cls(m, profiles, slo.target_seconds),
             )
         )
     return MultiModelRun(deps, profiles, slo).execute()
@@ -167,9 +169,9 @@ def test_multimodel_bit_identical():
     # MultiModelRun owns its engine, so both stacks share the tuple-heap
     # Simulator here; the engines' own bit-identity is certified by
     # test_golden_trace.py.  What this pins is the policy core: two
-    # co-located vectorized cores vs two reference cores.
-    oracle = _multimodel(vectorized=False)
-    candidate = _multimodel(vectorized=True)
+    # co-located production cores vs two reference cores.
+    oracle = _multimodel(ReferencePaldiaPolicy)
+    candidate = _multimodel(PaldiaPolicy)
     assert oracle.total_cost == candidate.total_cost
     for name in oracle.per_model:
         _assert_bit_identical(

@@ -167,3 +167,22 @@ class TestRunArtifacts:
         text = render_trace_report(path)
         assert "latency breakdown" in text
         assert "hardware-selection audit" in text
+        assert "injected node outages" not in text  # no chaos configured
+
+    def test_trace_report_lists_node_outages(self, resnet50, profiles, slo,
+                                             tmp_path):
+        from repro.framework.system import RunConfig
+        from repro.simulator.chaos import ChaosSpec, PeriodicOutage
+
+        tracer = Tracer()
+        trace = poisson_trace(rate_rps=20.0, duration=DURATION, seed=0)
+        policy = make_policy("paldia", resnet50, profiles, slo.target_seconds)
+        config = RunConfig(chaos=ChaosSpec(faults=(PeriodicOutage(8.0, 3.0, 5.0),)))
+        ServerlessRun(
+            resnet50, trace, policy, profiles, slo, config, tracer=tracer
+        ).execute()
+        path = str(tmp_path / "run.jsonl")
+        write_jsonl(tracer, path)
+        text = render_trace_report(path)
+        assert "injected node outages (2)" in text  # onsets at 5 s and 13 s
+        assert text.count("periodic_outage") == 2

@@ -1,0 +1,63 @@
+"""Layering: the production tree never imports the test tree or an oracle.
+
+The frozen seed oracles (``tests/oracles/``) exist so the golden suites
+and benchmarks can hold the one production code path to bit identity and
+speed.  If ``src/`` imported them, the oracle would stop being an
+independent reference.  This scans every module under ``src/repro``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+MODULES = sorted(SRC.rglob("*.py"))
+
+#: Module names of the seed oracles, wherever they might be imported from.
+ORACLE_MODULES = {
+    "oracles", "reference_simulator", "reference_model", "reference_policy",
+    "_reference", "_reference_model",
+}
+
+
+def forbidden_imports(source: str) -> list[tuple[int, str]]:
+    """``(line, module)`` of every import in ``source`` that reaches the
+    test tree or an oracle module."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "tests" or ORACLE_MODULES.intersection(parts):
+                bad.append((node.lineno, name))
+    return bad
+
+
+def test_scan_covers_the_package():
+    assert len(MODULES) > 50
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES]
+)
+def test_module_imports_no_tests_or_oracles(path):
+    assert forbidden_imports(path.read_text()) == []
+
+
+def test_scanner_flags_oracle_imports():
+    source = (
+        "import numpy\n"
+        "import tests.oracles\n"
+        "from repro.core._reference_model import reference_optimal_split\n"
+        "from tests.oracles import reference_policy\n"
+        "from repro.simulator import _reference\n"
+        "from repro.core.model import optimal_split\n"
+    )
+    assert [line for line, _ in forbidden_imports(source)] == [2, 3, 4, 5]
