@@ -19,7 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.framework.batching import carve_sizes
 from repro.framework.request import ShareMode
@@ -171,13 +171,15 @@ class Policy(ABC):
         current: Optional[HardwareSpec],
         existing_fbr: float,
         backlog_requests: int,
-        is_available: Callable[[HardwareSpec], bool],
+        unavailable: frozenset[str],
     ) -> Optional[HardwareSpec]:
         """Hardware this policy wants, or None to keep the current node.
 
         Called once per monitoring interval with the device's current
-        residency (``existing_fbr``) and software-queue depth
-        (``backlog_requests`` — Algorithm 1's ``curr_queue_info``).
+        residency (``existing_fbr``), software-queue depth
+        (``backlog_requests`` — Algorithm 1's ``curr_queue_info``) and
+        the names of the nodes that cannot be leased right now
+        (``unavailable``: failed, or behind an open circuit breaker).
         Implementations apply their own hysteresis; returning a spec
         different from ``current`` makes the framework start a (background)
         reconfiguration.

@@ -17,8 +17,7 @@ Two hardware variants:
 
 from __future__ import annotations
 
-
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.baselines.base import (
     HysteresisGate,
@@ -81,15 +80,14 @@ class InflessLlamaPolicy(Policy):
         return base
 
     def _cheapest_isolation_capable(
-        self,
-        rate: float,
-        is_available: Callable[[HardwareSpec], bool],
+        self, rate: float, unavailable: frozenset[str]
     ) -> HardwareSpec:
         """Cheapest node whose *believed* (interference/queueing-agnostic)
         capacity covers the current rate (Section V's hardware rule for the
         cost-effective variants)."""
         candidates = [
-            hw for hw in self.profiles.catalog.by_cost() if is_available(hw)
+            hw for hw in self.profiles.catalog.by_cost()
+            if hw.name not in unavailable
         ]
         if not candidates:
             raise RuntimeError("no available hardware")
@@ -100,13 +98,17 @@ class InflessLlamaPolicy(Policy):
         # Nothing believes it can keep up: take the fastest node.
         return min(candidates, key=lambda h: h.perf_rank)
 
-    def _performant(
-        self, is_available: Callable[[HardwareSpec], bool]
-    ) -> HardwareSpec:
-        gpus = [hw for hw in self.profiles.catalog.gpus() if is_available(hw)]
+    def _performant(self, unavailable: frozenset[str]) -> HardwareSpec:
+        gpus = [
+            hw for hw in self.profiles.catalog.gpus()
+            if hw.name not in unavailable
+        ]
         if gpus:
             return min(gpus, key=lambda h: h.perf_rank)
-        avail = [hw for hw in self.profiles.catalog.by_cost() if is_available(hw)]
+        avail = [
+            hw for hw in self.profiles.catalog.by_cost()
+            if hw.name not in unavailable
+        ]
         if not avail:
             raise RuntimeError("no available hardware")
         return min(avail, key=lambda h: h.perf_rank)
@@ -116,7 +118,7 @@ class InflessLlamaPolicy(Policy):
         if not self.cost_effective:
             return self.profiles.catalog.most_performant_gpu()
         self.predictor.observe(rate_hint_rps, 0.0)
-        return self._cheapest_isolation_capable(rate_hint_rps, lambda hw: True)
+        return self._cheapest_isolation_capable(rate_hint_rps, frozenset())
 
     def desired_hardware(
         self,
@@ -124,15 +126,15 @@ class InflessLlamaPolicy(Policy):
         current: Optional[HardwareSpec],
         existing_fbr: float,
         backlog_requests: int,
-        is_available: Callable[[HardwareSpec], bool],
+        unavailable: frozenset[str],
     ) -> Optional[HardwareSpec]:
         # backlog_requests is deliberately unused: these schemes are
         # queueing/interference agnostic (Section V).
         if self.cost_effective:
             rate = self.predictor.predict(now, 4.0)
-            desired = self._cheapest_isolation_capable(rate, is_available)
+            desired = self._cheapest_isolation_capable(rate, unavailable)
         else:
-            desired = self._performant(is_available)
+            desired = self._performant(unavailable)
         return desired if self._gate.propose(current, desired) else None
 
     # ------------------------------------------------------------------

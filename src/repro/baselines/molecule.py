@@ -12,8 +12,6 @@ its serving mechanism with INFless/Llama's hardware choices:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.baselines.base import Policy, WindowPlan, _plan_all_one_mode
 from repro.baselines.infless_llama import InflessLlamaPolicy
 from repro.framework.request import ShareMode

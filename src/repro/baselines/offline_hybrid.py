@@ -14,7 +14,7 @@ finds the best fraction for a given workload/trace.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.baselines.base import PlannedBatch, Policy, WindowPlan
 from repro.framework.batching import carve_sizes
@@ -70,7 +70,7 @@ class OfflineHybridPolicy(Policy):
         current: Optional[HardwareSpec],
         existing_fbr: float,
         backlog_requests: int,
-        is_available: Callable[[HardwareSpec], bool],
+        unavailable: frozenset[str],
     ) -> Optional[HardwareSpec]:
         return None  # pinned
 

@@ -282,7 +282,6 @@ class HardwareSelector:
         wait_limit: int = 3,
         wait_limit_down: int = 20,
         latency_budget_fraction: float = 0.85,
-        is_available: Optional[Callable[[HardwareSpec], bool]] = None,
     ) -> None:
         self.model = model
         self.profiles = profiles
@@ -294,11 +293,14 @@ class HardwareSelector:
         self.wait_limit = int(wait_limit)
         self.wait_limit_down = int(wait_limit_down)
         self.latency_budget_fraction = float(latency_budget_fraction)
-        self.is_available = is_available or (lambda hw: True)
-        #: Host-contention inflation per candidate (>= 1).  The default —
-        #: no inflation — is the paper's model; the contention-aware
+        #: Host-contention inflation per candidate (>= 1).  ``None`` — no
+        #: inflation — is the paper's model; the contention-aware
         #: extension (its stated future work) plugs in live estimates.
-        self.contention_for: Callable[[HardwareSpec], float] = lambda hw: 1.0
+        self.contention_for: Optional[Callable[[HardwareSpec], float]] = None
+        #: Algorithm 1's ``get_HW_pool`` as one bisect per tick.
+        self._pools = profiles.hw_pools(model, self.slo_seconds)
+        #: Every node, cheapest first: the pool of last resort.
+        self._catalog = tuple(profiles.catalog.by_cost())
         self._wait_ctr = 0
         self.switches_requested = 0
         #: Decision-audit sink; every tick emits a
@@ -307,8 +309,9 @@ class HardwareSelector:
         #: Per-hardware profiled constants (batch, solo, fbr, bounds) —
         #: pure functions of (model, hw, slo), resolved once.
         self._consts: dict[str, tuple] = {}
-        #: Memoised candidate tables keyed on the exact solve inputs.
-        self._table_cache: dict[tuple, CandidateTable] = {}
+        #: Memoised ``[table, chosen index]`` entries per tick key (see
+        #: :meth:`tick`).
+        self._table_cache: dict[tuple, list] = {}
         #: Memoised per-candidate solve results keyed on
         #: ``(hw.name, n_future, existing_fbr, contention)``.  Rows of the
         #: candidate grid are independent (every operation in the solver
@@ -357,37 +360,16 @@ class HardwareSelector:
         :func:`repro.core.model.optimal_split_batch`).
 
         Residency (``existing_fbr``) only burdens the incumbent row — a
-        candidate we would switch to starts empty.  Results are memoised
-        on the exact solve inputs; repeated ticks under a steady rate are
-        dictionary lookups.
+        candidate we would switch to starts empty.  Per-candidate solves
+        are memoised on their exact inputs.
         """
-        return self._table_entry(pool, n_future, current_hw, existing_fbr)[0]
-
-    def _table_entry(
-        self,
-        pool: list[HardwareSpec],
-        n_future: int,
-        current_hw: Optional[HardwareSpec],
-        existing_fbr: float,
-    ) -> list:
-        """Cache entry ``[table, chosen_index_or_None]`` for one scan.
-
-        The chosen index is filled in lazily by :meth:`tick` — budget and
-        slack are selector constants, so a table's verdict never changes."""
-        contentions = tuple(
-            max(1.0, self.contention_for(hw)) for hw in pool
+        cf = self.contention_for
+        contentions = (
+            [1.0] * len(pool)
+            if cf is None
+            else [max(1.0, cf(hw)) for hw in pool]
         )
         inc = current_hw.name if current_hw is not None else None
-        key = (
-            tuple(hw.name for hw in pool),
-            n_future,
-            inc,
-            existing_fbr,
-            contentions,
-        )
-        cached = self._table_cache.get(key)
-        if cached is not None:
-            return cached
 
         c = len(pool)
         consts = [self._hw_consts(hw) for hw in pool]
@@ -463,7 +445,7 @@ class HardwareSelector:
                     float(occ_best[j]),
                 )
 
-        table = CandidateTable(
+        return CandidateTable(
             specs=tuple(pool),
             least_t_max=t_col,
             best_y=y_col,
@@ -471,11 +453,27 @@ class HardwareSelector:
             co_run=co_run_col,
             occupancy=occ_col,
         )
-        entry = [table, None]
-        if len(self._table_cache) >= 4096:
-            self._table_cache.clear()
-        self._table_cache[key] = entry
-        return entry
+
+    def _candidates(
+        self,
+        pool: tuple[HardwareSpec, ...],
+        unavailable: frozenset[str],
+        current_hw: Optional[HardwareSpec],
+    ) -> list[HardwareSpec]:
+        """The tick's ``HW_dict`` rows: the available part of ``pool``
+        (else of the whole catalog), plus the incumbent."""
+        cands = [hw for hw in pool if hw.name not in unavailable]
+        if not cands:
+            cands = [hw for hw in self._catalog if hw.name not in unavailable]
+        if not cands:
+            raise RuntimeError("no available hardware in the catalog")
+        if current_hw is not None and all(
+            hw.name != current_hw.name for hw in cands
+        ):
+            # Keep the incumbent in the comparison: its (in)feasibility is
+            # what emergency escalation is judged against.
+            cands.append(current_hw)
+        return cands
 
     # ------------------------------------------------------------------
     # One monitoring tick (the outer loop of Algorithm 1)
@@ -486,42 +484,58 @@ class HardwareSelector:
         current_hw: Optional[HardwareSpec],
         existing_fbr: float = 0.0,
         backlog: int = 0,
+        unavailable: frozenset[str] = frozenset(),
     ) -> SelectionOutcome:
         """Run one Hardware_Selection pass; applies hysteresis.
 
         ``backlog`` is the current software-queue depth (Algorithm 1 reads
         ``curr_request_queue`` before predicting): hardware must be able to
         drain what has already accumulated *and* what is coming.
+        ``unavailable`` names the nodes that cannot be leased right now
+        (failed, or behind an open circuit breaker).
         ``switch_requested`` is only True after ``wait_limit`` consecutive
-        mismatches (the paper's ``wait_ctr``)."""
+        mismatches (the paper's ``wait_ctr``).
+
+        The candidate table and its verdict are memoised on six scalars
+        that determine them: the pool index, ``unavailable``, the
+        incumbent's name, ``n_future``, ``existing_fbr`` and the
+        contention estimates (``None`` without a contention model).  A
+        steady-state tick is a bisect and two dictionary lookups."""
         rate = self.predictor.predict(now, self.lookahead_seconds)
         n_future = max(1, math.ceil(rate * self.plan_horizon_seconds) + max(0, backlog))
         effective_rate = rate + max(0, backlog) / max(
             self.lookahead_seconds, 1e-9
         )
-        pool = [
-            hw
-            for hw in self.profiles.get_hw_pool(
-                self.model, effective_rate, self.slo_seconds
-            )
-            if self.is_available(hw)
-        ]
-        if not pool:
-            pool = [hw for hw in self.profiles.catalog.by_cost() if self.is_available(hw)]
-        if not pool:
-            raise RuntimeError("no available hardware in the catalog")
-        if current_hw is not None and all(
-            hw.name != current_hw.name for hw in pool
-        ):
-            # Keep the incumbent in the comparison: its (in)feasibility is
-            # what emergency escalation is judged against.
-            pool.append(current_hw)
+        pool_index, pool = self._pools.lookup(effective_rate)
+        cf = self.contention_for
+        contention = None
+        if cf is not None:
+            # Every candidate is a catalog node.
+            contention = tuple(max(1.0, cf(hw)) for hw in self._catalog)
+        key = (
+            pool_index,
+            unavailable,
+            current_hw.name if current_hw is not None else None,
+            n_future,
+            existing_fbr,
+            contention,
+        )
         budget = self.slo_seconds * self.latency_budget_fraction
-        entry = self._table_entry(pool, n_future, current_hw, existing_fbr)
+        entry = self._table_cache.get(key)
+        if entry is None:
+            table = self.evaluate_pool(
+                self._candidates(pool, unavailable, current_hw),
+                n_future,
+                current_hw,
+                existing_fbr,
+            )
+            # choose_best_HW (Algorithm 1 step e).  Budget and slack are
+            # selector constants, so a table's verdict never changes.
+            entry = [table, table.choose_best_index(budget, self.perf_slack_seconds)]
+            if len(self._table_cache) >= 4096:
+                self._table_cache.clear()
+            self._table_cache[key] = entry
         table = entry[0]
-        if entry[1] is None:
-            # choose_best_HW (Algorithm 1 step e).
-            entry[1] = table.choose_best_index(budget, self.perf_slack_seconds)
         chosen = table.specs[entry[1]]
 
         switch = False

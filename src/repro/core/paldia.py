@@ -14,7 +14,7 @@ This is the paper's primary contribution assembled from the core modules:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.baselines.base import PlannedBatch, Policy, WindowPlan
 from repro.framework.batching import carve_sizes
@@ -80,7 +80,8 @@ class PaldiaPolicy(Policy):
         #: on the exact solve inputs that vary at run time.  Residency
         #: (``existing_fbr``) is quantised (multiples of the per-hw FBR)
         #: and queues are small integers, so steady traffic hits the same
-        #: handful of keys; plans are frozen values, safe to share.
+        #: handful of keys; plans are frozen values, safe to share.  CPU
+        #: plans (no solve, so no decision) are keyed on ``(hw, n)``.
         self._split_cache: dict[tuple, tuple] = {}
 
     def bind_tracer(self, tracer) -> None:
@@ -104,13 +105,23 @@ class PaldiaPolicy(Policy):
         current: Optional[HardwareSpec],
         existing_fbr: float,
         backlog_requests: int,
-        is_available: Callable[[HardwareSpec], bool],
+        unavailable: frozenset[str],
     ) -> Optional[HardwareSpec]:
-        self.selector.is_available = is_available
         outcome = self.selector.tick(
-            now, current, existing_fbr=existing_fbr, backlog=backlog_requests
+            now,
+            current,
+            existing_fbr=existing_fbr,
+            backlog=backlog_requests,
+            unavailable=unavailable,
         )
         return outcome.chosen if outcome.switch_requested else None
+
+    def _remember(self, key: tuple, decision, plan: WindowPlan) -> tuple:
+        """Store one ``(decision, plan)`` in the bounded split memo."""
+        if len(self._split_cache) >= 4096:
+            self._split_cache.clear()
+        self._split_cache[key] = entry = (decision, plan)
+        return entry
 
     def _effective_solo(self, hw: HardwareSpec, batch: int) -> float:
         """Solo latency the split model plans with.  The base policy uses
@@ -126,17 +137,22 @@ class PaldiaPolicy(Policy):
         now: float,
         existing_queue: int = 0,
     ) -> WindowPlan:
-        batch = self.batch_size_on(hw)
         if not hw.is_gpu:
             # CPU nodes use the framework's batched CPU mode; modes are
             # ignored by the device, lanes do the parallelism.
-            sizes = carve_sizes(n, batch)
-            return WindowPlan(
-                batches=tuple(
-                    PlannedBatch(size=s, mode=ShareMode.TEMPORAL) for s in sizes
-                ),
-                y=n,
-            )
+            key = (hw.name, n)
+            cached = self._split_cache.get(key)
+            if cached is None:
+                sizes = carve_sizes(n, self.batch_size_on(hw))
+                plan = WindowPlan(
+                    batches=tuple(
+                        PlannedBatch(size=s, mode=ShareMode.TEMPORAL) for s in sizes
+                    ),
+                    y=n,
+                )
+                cached = self._remember(key, None, plan)
+            return cached[1]
+        batch = self.batch_size_on(hw)
         solo = self._effective_solo(hw, batch)
         key = (hw.name, n, batch, solo, existing_fbr, existing_queue)
         cached = self._split_cache.get(key)
@@ -173,9 +189,7 @@ class PaldiaPolicy(Policy):
                 y=decision.y,
                 predicted_t_max=decision.t_max,
             )
-            if len(self._split_cache) >= 4096:
-                self._split_cache.clear()
-            self._split_cache[key] = (decision, plan)
+            self._remember(key, decision, plan)
         if self.tracer.enabled:
             self.tracer.event(
                 "job_distribution.split",

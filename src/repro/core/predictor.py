@@ -75,11 +75,6 @@ class EWMAPredictor(RatePredictor):
             # Two consecutive high samples: a real surge onset, not sample
             # noise — trust the jump so hardware can be acquired early.
             self._level = rate
-        elif surged:
-            self._level = max(
-                0.0,
-                self.alpha * rate + (1 - self.alpha) * (self._level + self._trend),
-            )
         else:
             self._level = max(
                 0.0,

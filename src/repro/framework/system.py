@@ -293,6 +293,8 @@ class ServerlessRun:
         self.metrics = MetricsCollector()
         self.tracker = RateTracker(self.config.monitor_interval_seconds)
         self.policy.bind_tracer(self.tracer)
+        #: The contention-aware policy's feedback hook (None otherwise).
+        self._observe_contention = getattr(policy, "observe_contention", None)
         self.autoscaler = Autoscaler(
             model=model,
             profiles=self.profiles,
@@ -939,27 +941,34 @@ class ServerlessRun:
                 has_temporal=plan.has_temporal,
             ),
         )
+        batches = plan.batches
+        if cap is None and len(batches) == 1 and batches[0].size == window.n:
+            # One uncapped batch covers the window: the window's arrival
+            # view is the batch's, no re-slicing.
+            mode = ShareMode.TEMPORAL if force_temporal else batches[0].mode
+            self._submit_new_batch(window.arrivals, now, mode, node)
+            return
         offset = 0
-        for planned in plan.batches:
+        for planned in batches:
             arrivals = window.arrivals[offset : offset + planned.size]
             offset += planned.size
             mode = ShareMode.TEMPORAL if force_temporal else planned.mode
             step = planned.size if cap is None else min(cap, planned.size)
             for i in range(0, planned.size, step):
-                batch = Batch(
-                    model=self.model,
-                    arrivals=arrivals[i : i + step],
-                    dispatched_at=now,
-                    mode=mode,
-                )
-                batch.breakdown.batching_wait = max(
-                    0.0, now - batch.first_arrival
-                )
-                self._acquire_and_submit(batch, node)
+                self._submit_new_batch(arrivals[i : i + step], now, mode, node)
         if offset != window.n:  # pragma: no cover - plan invariant
             raise RuntimeError(
                 f"plan covered {offset} of {window.n} window requests"
             )
+
+    def _submit_new_batch(
+        self, arrivals: np.ndarray, now: float, mode: str, node: NodeInstance
+    ) -> None:
+        batch = Batch(
+            model=self.model, arrivals=arrivals, dispatched_at=now, mode=mode
+        )
+        batch.breakdown.batching_wait = max(0.0, now - batch.first_arrival)
+        self._acquire_and_submit(batch, node)
 
     def _acquire_and_submit(self, batch: Batch, node: NodeInstance) -> None:
         pool = node.pool(self.model.name)
@@ -1072,8 +1081,8 @@ class ServerlessRun:
         now = self.sim.now
         rate = self.tracker.sample(now)
         self.policy.observe_rate(rate, now)
-        if self._current is not None and hasattr(self.policy, "observe_contention"):
-            self.policy.observe_contention(
+        if self._current is not None and self._observe_contention is not None:
+            self._observe_contention(
                 self._current.device.contention_factor, self._current.spec
             )
         self._release_drained()
@@ -1097,7 +1106,7 @@ class ServerlessRun:
                 reference,
                 fbr_now,
                 backlog_requests=backlog_now,
-                is_available=self._is_available,
+                unavailable=self._unavailable(),
             )
             if prof is not None:
                 prof.pop()
@@ -1116,14 +1125,19 @@ class ServerlessRun:
                 self.config.monitor_interval_seconds, self._monitor_tick, priority=20
             )
 
-    def _is_available(self, hw: HardwareSpec) -> bool:
-        if hw.name in self._failed_specs:
-            return False
-        # Breaker gate is read-only here: availability scans must not
-        # consume half-open probe slots (those belong to dispatches).
-        return not (
-            self.resilience is not None
-            and self.resilience.target_blocked(hw.name, self.sim.now)
+    def _unavailable(self) -> frozenset[str]:
+        """Names of the nodes that cannot be leased now: failed specs and
+        targets behind a blocking breaker.  The breaker check is
+        read-only: availability scans must not consume half-open probe
+        slots (those belong to dispatches)."""
+        res = self.resilience
+        if res is None:
+            return frozenset(self._failed_specs)
+        now = self.sim.now
+        return frozenset(self._failed_specs).union(
+            hw.name
+            for hw in self.profiles.catalog
+            if res.target_blocked(hw.name, now)
         )
 
     def _reconfigure(self, desired: HardwareSpec) -> None:
@@ -1222,6 +1236,8 @@ class ServerlessRun:
             self._acquire_and_submit(job.batch, node)
 
     def _release_drained(self) -> None:
+        if not self._draining:
+            return
         still = []
         for node in self._draining:
             pools_quiet = all(
@@ -1263,7 +1279,8 @@ class ServerlessRun:
     def _failover_choice(self, failed: HardwareSpec) -> HardwareSpec:
         """'Switch to the more performant hardware with the least cost'; if
         the failed node was the most performant, the next best GPU."""
-        avail = [hw for hw in self.profiles.catalog if self._is_available(hw)]
+        unavailable = self._unavailable()
+        avail = [hw for hw in self.profiles.catalog if hw.name not in unavailable]
         if not avail:
             raise RuntimeError("every node type is down")
         better = [hw for hw in avail if hw.perf_rank < failed.perf_rank]

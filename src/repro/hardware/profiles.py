@@ -35,6 +35,7 @@ V100's bandwidth needs ~79% of the M60's and ~37% of the K80's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,7 +45,7 @@ from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalo
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.workloads.models import ModelSpec
 
-__all__ = ["ProfileService", "V100_BANDWIDTH_GBPS", "FBR_CAP"]
+__all__ = ["HardwarePools", "ProfileService", "V100_BANDWIDTH_GBPS", "FBR_CAP"]
 
 #: Bandwidth of the anchor device (the V100's HBM2).
 V100_BANDWIDTH_GBPS = 900.0
@@ -59,6 +60,50 @@ FBR_CAP = 0.95
 #: Fraction of device memory usable for batches (the rest is runtime/CUDA
 #: context overhead).
 _MEMORY_USABLE_FRACTION = 0.9
+
+
+def _rate_ceiling(sweet: float, headroom: float) -> float:
+    """The largest double ``r`` with ``sweet >= r * headroom``.
+
+    A rounded product is monotone in ``r`` (for ``headroom > 0``), so the
+    rates a node qualifies for are exactly ``r <= ceiling``.  ``sweet /
+    headroom`` lands within an ulp or two of the answer; ``nextafter``
+    walks it onto the last rate the qualifying comparison itself accepts.
+    """
+    if math.isinf(sweet):
+        return math.inf
+    r = sweet / headroom
+    while r * headroom > sweet:
+        r = math.nextafter(r, -math.inf)
+    while (up := math.nextafter(r, math.inf)) * headroom <= sweet:
+        r = up
+    return r
+
+
+@dataclass(frozen=True)
+class HardwarePools:
+    """Algorithm 1's ``get_HW_pool`` for one ``(model, slo, headrooms)``,
+    answered by one bisect.
+
+    A node qualifies for rate ``r`` exactly when ``r`` is at most the
+    node's rate ceiling (:func:`_rate_ceiling`), so the distinct pools are
+    indexed by the sorted distinct ceilings: ``pools[i]`` (cheapest first)
+    serves the rates in ``(ceilings[i-1], ceilings[i]]``.  The last pool,
+    past every ceiling, is the degenerate-pool fallback.
+    """
+
+    ceilings: tuple[float, ...]
+    pools: tuple[tuple[HardwareSpec, ...], ...]
+
+    def lookup(self, predicted_rps: float) -> tuple[int, tuple[HardwareSpec, ...]]:
+        """``(pool index, pool)`` for ``predicted_rps``; the index names
+        the pool uniquely, so callers can key memos on it."""
+        if not predicted_rps >= 0.0:
+            if math.isnan(predicted_rps):
+                raise ValueError("predicted rate cannot be NaN")
+            raise ValueError("predicted rate cannot be negative")
+        i = bisect_left(self.ceilings, predicted_rps)
+        return i, self.pools[i]
 
 
 @dataclass
@@ -89,11 +134,11 @@ class ProfileService:
     #: a device serving rate ``r`` sees batches of ``r * window`` requests,
     #: so per-batch fixed overhead bounds throughput at small windows.
     dispatch_window_seconds: float = 0.075
-    #: Memoised sweet-spot goodputs per (model, slo) — pure functions of
-    #: the profiles, recomputed for the catalog's cost order and for the
-    #: degenerate-pool fallback.  ``get_hw_pool`` runs every monitoring
-    #: tick with a continuously-varying rate, but the rate only enters a
-    #: final comparison; everything profiled is cacheable.
+    #: Memoised :class:`HardwarePools` per ``(model, slo, headroom,
+    #: cpu_headroom)`` — pure functions of the profiles.  ``get_hw_pool``
+    #: runs every monitoring tick with a continuously-varying rate, but
+    #: the rate only enters a final comparison; everything profiled is
+    #: cacheable.
     _pool_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -214,6 +259,47 @@ class ProfileService:
     # ------------------------------------------------------------------
     # Hardware pool (Algorithm 1's get_HW_pool)
     # ------------------------------------------------------------------
+    def hw_pools(
+        self,
+        model: ModelSpec,
+        slo_seconds: float,
+        headroom: float = 1.25,
+        cpu_headroom: float = 1.5,
+    ) -> HardwarePools:
+        """The precomputed pool lookup behind :meth:`get_hw_pool`."""
+        key = (model, slo_seconds, headroom, cpu_headroom)
+        pools = self._pool_cache.get(key)
+        if pools is not None:
+            return pools
+        if not (0.0 < headroom < math.inf and 0.0 < cpu_headroom < math.inf):
+            raise ValueError("headrooms must be positive and finite")
+        by_cost = self.catalog.by_cost()
+        sweets = [self.sweet_spot_rps(model, hw, slo_seconds) for hw in by_cost]
+        ceilings = [
+            _rate_ceiling(sweet, headroom if hw.is_gpu else cpu_headroom)
+            if sweet > 0.0
+            else -math.inf
+            for hw, sweet in zip(by_cost, sweets)
+        ]
+        bounds = sorted({c for c in ceilings if c >= 0.0})
+        fallback = min(
+            self.catalog,
+            key=lambda h: (
+                -self.sweet_spot_rps(model, h, slo_seconds),
+                h.price_per_hour,
+            ),
+        )
+        pools = HardwarePools(
+            ceilings=tuple(bounds),
+            pools=tuple(
+                tuple(hw for hw, c in zip(by_cost, ceilings) if c >= bound)
+                for bound in bounds
+            )
+            + ((fallback,),),
+        )
+        self._pool_cache[key] = pools
+        return pools
+
     def get_hw_pool(
         self,
         model: ModelSpec,
@@ -230,37 +316,13 @@ class ProfileService:
         outruns them, so they only qualify for comfortably low rates ("CPU
         nodes handle lower request rates", Section IV-A).  The pool is
         returned cheapest-first (Algorithm 1 sorts by cost ascending).  If
-        *no* node qualifies — the resource-exhaustion regime of Fig 13a —
-        the most performant node(s) are returned so the framework degrades
-        instead of refusing.
+        *no* node qualifies — the resource-exhaustion regime of Fig 13a,
+        or an infinite rate — the most performant node(s) are returned so
+        the framework degrades instead of refusing.  Negative and NaN
+        rates raise ``ValueError``.
         """
-        if predicted_rps < 0:
-            raise ValueError("predicted rate cannot be negative")
-        key = (model, slo_seconds)
-        cached = self._pool_cache.get(key)
-        if cached is None:
-            sweets = [
-                (hw, self.sweet_spot_rps(model, hw, slo_seconds))
-                for hw in self.catalog.by_cost()
-            ]
-            fallback = min(
-                self.catalog,
-                key=lambda h: (
-                    -self.sweet_spot_rps(model, h, slo_seconds),
-                    h.price_per_hour,
-                ),
-            )
-            cached = (sweets, fallback)
-            self._pool_cache[key] = cached
-        sweets, fallback = cached
-        pool = [
-            hw
-            for hw, sweet in sweets
-            if sweet > 0.0
-            and sweet
-            >= predicted_rps * (headroom if hw.is_gpu else cpu_headroom)
-        ]
-        return pool if pool else [fallback]
+        pools = self.hw_pools(model, slo_seconds, headroom, cpu_headroom)
+        return list(pools.lookup(predicted_rps)[1])
 
     def capable(
         self,

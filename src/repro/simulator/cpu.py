@@ -55,6 +55,8 @@ class CPUDevice:
         self.exec_noise_sigma = float(exec_noise_sigma)
 
         self._queue: deque[Job] = deque()
+        #: Requests in ``_queue``, kept on every enqueue/dequeue/evict.
+        self._queued_requests = 0
         self._running: list[Job] = []
         #: Service-time inflation from co-located host workloads (>= 1).
         self.contention_factor = 1.0
@@ -80,12 +82,13 @@ class CPUDevice:
 
     def queued_requests(self) -> int:
         """Requests sitting in the lane queue (``curr_queue_info``)."""
-        return sum(j.batch.size for j in self._queue)
+        return self._queued_requests
 
     def evict_queued(self) -> list[Job]:
         """Remove not-yet-started jobs (hardware switch re-routes them)."""
         evicted = list(self._queue)
         self._queue.clear()
+        self._queued_requests = 0
         return evicted
 
     @property
@@ -123,6 +126,7 @@ class CPUDevice:
         """Queue a batch; it starts as soon as a lane frees up."""
         job.submitted_at = self.sim.now
         self._queue.append(job)
+        self._queued_requests += job.batch.size
         self._dispatch()
 
     def evict_all(self) -> list[Job]:
@@ -132,6 +136,7 @@ class CPUDevice:
             job.started_at = None
         self._running.clear()
         self._queue.clear()
+        self._queued_requests = 0
         self._mark_busy_transition()
         return evicted
 
@@ -154,6 +159,7 @@ class CPUDevice:
     def _dispatch(self) -> None:
         while self._queue and len(self._running) < self.spec.cpu_lanes:
             job = self._queue.popleft()
+            self._queued_requests -= job.batch.size
             job.started_at = self.sim.now
             noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
             service = (

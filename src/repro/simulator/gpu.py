@@ -95,6 +95,8 @@ class GPUDevice:
         self._active: list[Job] = []
         self._pending_spatial: deque[Job] = deque()
         self._temporal_q: deque[Job] = deque()
+        #: Requests in both queues, kept on every enqueue/dequeue/evict.
+        self._queued_requests = 0
         self._mem_used = 0.0
         self._last_update = sim.now
         self._completion_ev: Optional[Event] = None
@@ -127,9 +129,7 @@ class GPUDevice:
     def queued_requests(self) -> int:
         """Requests sitting in the device queues (Algorithm 1's
         ``curr_queue_info``)."""
-        return sum(j.batch.size for j in self._pending_spatial) + sum(
-            j.batch.size for j in self._temporal_q
-        )
+        return self._queued_requests
 
     def evict_queued(self) -> list[Job]:
         """Remove jobs that have not started executing (hardware switch:
@@ -138,6 +138,7 @@ class GPUDevice:
         evicted = list(self._pending_spatial) + list(self._temporal_q)
         self._pending_spatial.clear()
         self._temporal_q.clear()
+        self._queued_requests = 0
         return evicted
 
     @property
@@ -221,8 +222,10 @@ class GPUDevice:
                 self._start(job)
             else:
                 self._pending_spatial.append(job)
+                self._queued_requests += job.batch.size
         else:
             self._temporal_q.append(job)
+            self._queued_requests += job.batch.size
             self._maybe_promote()
         self._reschedule()
         if prof is not None:
@@ -248,6 +251,7 @@ class GPUDevice:
         self._active.clear()
         self._pending_spatial.clear()
         self._temporal_q.clear()
+        self._queued_requests = 0
         self._mem_used = 0.0
         self._mark_busy_transition()
         if self._completion_ev is not None:
@@ -299,6 +303,7 @@ class GPUDevice:
         """Move the temporal head onto the device if it is idle."""
         if not self._active and not self._pending_spatial and self._temporal_q:
             job = self._temporal_q.popleft()
+            self._queued_requests -= job.batch.size
             self._start(job)
 
     def _drain_pending(self) -> None:
@@ -307,7 +312,9 @@ class GPUDevice:
             self._pending_spatial
             and self._pending_spatial[0].mem_gb <= self.mem_free_gb
         ):
-            self._start(self._pending_spatial.popleft())
+            job = self._pending_spatial.popleft()
+            self._queued_requests -= job.batch.size
+            self._start(job)
 
     def _rate(self) -> float:
         """Per-job progress rate of the current resident set."""

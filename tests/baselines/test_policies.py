@@ -83,7 +83,7 @@ class TestInflessLlama:
         pol = InflessLlamaPolicy(resnet50, profiles, 0.2)
         prime(pol, resnet50.peak_rps, n=20)
         desired = pol.desired_hardware(
-            0.0, m60, 0.0, 0, is_available=lambda hw: True
+            0.0, m60, 0.0, 0, unavailable=frozenset()
         )
         assert desired is None
 
@@ -91,7 +91,7 @@ class TestInflessLlama:
         pol = InflessLlamaPolicy(resnet50, profiles, 0.2)
         prime(pol, 50.0)
         desired = pol.desired_hardware(
-            0.0, m60, 0.0, 10_000, is_available=lambda hw: True
+            0.0, m60, 0.0, 10_000, unavailable=frozenset()
         )
         assert desired is None  # agnostic by design
 
@@ -120,7 +120,7 @@ class TestOfflineHybrid:
     def test_pinned_hardware(self, profiles, resnet50, m60):
         pol = OfflineHybridPolicy(resnet50, profiles, 0.2, m60, 0.5)
         assert pol.initial_hardware(100.0) is m60
-        assert pol.desired_hardware(0.0, m60, 0.0, 0, lambda hw: True) is None
+        assert pol.desired_hardware(0.0, m60, 0.0, 0, frozenset()) is None
 
     def test_fraction_splits_window(self, profiles, resnet50, m60):
         pol = OfflineHybridPolicy(resnet50, profiles, 0.2, m60, 0.5)
@@ -164,7 +164,7 @@ class TestPaldiaPolicy:
         desired = None
         for i in range(30):
             desired = desired or pol.desired_hardware(
-                float(i), m60, 0.0, 500, is_available=lambda hw: True
+                float(i), m60, 0.0, 500, unavailable=frozenset()
             )
         assert desired is not None
         assert desired.perf_rank < m60.perf_rank

@@ -127,10 +127,7 @@ class TestTick:
         assert out.chosen.perf_rank <= m60.perf_rank
 
     def test_unavailable_hardware_excluded(self, profiles, resnet50, v100):
-        sel = make_selector(
-            profiles, resnet50,
-            is_available=lambda hw: hw.name != "c6i.4xlarge",
-        )
+        sel = make_selector(profiles, resnet50)
         prime(sel, 8.0)
-        out = sel.tick(0.0, None)
+        out = sel.tick(0.0, None, unavailable=frozenset({"c6i.4xlarge"}))
         assert out.chosen.name != "c6i.4xlarge"

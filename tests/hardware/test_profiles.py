@@ -134,6 +134,15 @@ class TestHardwarePool:
         with pytest.raises(ValueError):
             profiles.get_hw_pool(resnet50, -1.0, slo.target_seconds)
 
+    def test_nan_rate_rejected(self, profiles, resnet50, slo):
+        with pytest.raises(ValueError, match="NaN"):
+            profiles.get_hw_pool(resnet50, math.nan, slo.target_seconds)
+
+    def test_infinite_rate_degrades_to_fallback(self, profiles, resnet50, slo):
+        pool = profiles.get_hw_pool(resnet50, math.inf, slo.target_seconds)
+        assert pool == profiles.get_hw_pool(resnet50, 1e12, slo.target_seconds)
+        assert len(pool) == 1
+
     @given(st.floats(min_value=0.0, max_value=2000.0))
     def test_pool_never_empty(self, rate):
         profiles = ProfileService()

@@ -6,10 +6,11 @@ lookups, candidate rows, split decisions and window plans.  This module
 keeps the seed's call pattern as the oracle those optimisations are held
 to:
 
-* :class:`ReferenceHardwareSelector` evaluates every candidate with its
-  own Equation-(1) solve (:func:`~tests.oracles.reference_model.
-  reference_optimal_split`) and picks with the scalar ``choose_best_HW``
-  rule, memoising nothing;
+* :class:`ReferenceHardwareSelector` builds each tick's pool with the
+  seed's comparison loop (:func:`reference_hw_pool`), evaluates every
+  candidate with its own Equation-(1) solve (:func:`~tests.oracles.
+  reference_model.reference_optimal_split`) and picks with the scalar
+  ``choose_best_HW`` rule, memoising nothing;
 * :class:`ReferencePolicyMixin` puts that selector under
   :class:`~repro.core.paldia.PaldiaPolicy` or any subclass, and replaces
   the memoised ``batch_size_on`` and ``plan_window`` with per-call ones.
@@ -29,12 +30,18 @@ import numpy as np
 from repro.baselines.base import PlannedBatch, WindowPlan
 from repro.baselines.oracle import OraclePolicy
 from repro.core.contention import ContentionAwarePaldiaPolicy
-from repro.core.hardware_selection import CandidateTable, HardwareSelector
+from repro.core.hardware_selection import (
+    CandidateTable,
+    HardwareSelector,
+    SelectionOutcome,
+)
 from repro.core.model import cpu_t_max
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.batching import carve_sizes
 from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
+from repro.hardware.profiles import ProfileService
+from repro.workloads.models import ModelSpec
 from tests.oracles.reference_model import reference_optimal_split
 
 __all__ = [
@@ -46,7 +53,41 @@ __all__ = [
     "ReferencePolicyMixin",
     "choose_best",
     "make_reference_policy",
+    "reference_hw_pool",
 ]
+
+
+def reference_hw_pool(
+    profiles: ProfileService,
+    model: ModelSpec,
+    predicted_rps: float,
+    slo_seconds: float,
+    headroom: float = 1.25,
+    cpu_headroom: float = 1.5,
+) -> list[HardwareSpec]:
+    """The seed's ``get_hw_pool``: one comparison per node, cheapest
+    first, the most performant node when none qualifies."""
+    if predicted_rps < 0:
+        raise ValueError("predicted rate cannot be negative")
+    sweets = [
+        (hw, profiles.sweet_spot_rps(model, hw, slo_seconds))
+        for hw in profiles.catalog.by_cost()
+    ]
+    fallback = min(
+        profiles.catalog,
+        key=lambda h: (
+            -profiles.sweet_spot_rps(model, h, slo_seconds),
+            h.price_per_hour,
+        ),
+    )
+    pool = [
+        hw
+        for hw, sweet in sweets
+        if sweet > 0.0
+        and sweet
+        >= predicted_rps * (headroom if hw.is_gpu else cpu_headroom)
+    ]
+    return pool if pool else [fallback]
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +152,9 @@ class ReferenceHardwareSelector(HardwareSelector):
                 hw=hw, least_t_max=float("inf"), best_y=None,
                 cost=hw.price_per_hour,
             )
+        contention_for = self.contention_for or (lambda hw: 1.0)
         solo = self.profiles.solo_time(self.model, hw, batch) * max(
-            1.0, self.contention_for(hw)
+            1.0, contention_for(hw)
         )
         if not hw.is_gpu:
             t = cpu_t_max(
@@ -168,6 +210,107 @@ class ReferenceHardwareSelector(HardwareSelector):
         )
         index = next(i for i, e in enumerate(evaluations) if e is best)
         return [_pack(evaluations), index]
+
+    def tick(
+        self,
+        now: float,
+        current_hw: Optional[HardwareSpec],
+        existing_fbr: float = 0.0,
+        backlog: int = 0,
+        unavailable: frozenset[str] = frozenset(),
+    ) -> SelectionOutcome:
+        """Run one Hardware_Selection pass; applies hysteresis.
+
+        ``backlog`` is the current software-queue depth (Algorithm 1 reads
+        ``curr_request_queue`` before predicting): hardware must be able to
+        drain what has already accumulated *and* what is coming.
+        ``switch_requested`` is only True after ``wait_limit`` consecutive
+        mismatches (the paper's ``wait_ctr``)."""
+        rate = self.predictor.predict(now, self.lookahead_seconds)
+        n_future = max(1, math.ceil(rate * self.plan_horizon_seconds) + max(0, backlog))
+        effective_rate = rate + max(0, backlog) / max(
+            self.lookahead_seconds, 1e-9
+        )
+        pool = [
+            hw
+            for hw in reference_hw_pool(
+                self.profiles, self.model, effective_rate, self.slo_seconds
+            )
+            if hw.name not in unavailable
+        ]
+        if not pool:
+            pool = [hw for hw in self.profiles.catalog.by_cost() if hw.name not in unavailable]
+        if not pool:
+            raise RuntimeError("no available hardware in the catalog")
+        if current_hw is not None and all(
+            hw.name != current_hw.name for hw in pool
+        ):
+            # Keep the incumbent in the comparison: its (in)feasibility is
+            # what emergency escalation is judged against.
+            pool.append(current_hw)
+        budget = self.slo_seconds * self.latency_budget_fraction
+        entry = self._table_entry(pool, n_future, current_hw, existing_fbr)
+        table = entry[0]
+        if entry[1] is None:
+            # choose_best_HW (Algorithm 1 step e).
+            entry[1] = table.choose_best_index(budget, self.perf_slack_seconds)
+        chosen = table.specs[entry[1]]
+
+        switch = False
+        emergency = False
+        if current_hw is None or chosen.name != current_hw.name:
+            self._wait_ctr += 1
+            escalating = (
+                current_hw is None or chosen.perf_rank < current_hw.perf_rank
+            )
+            # Emergency: the node we are on cannot meet the SLO for the
+            # predicted load.  The wait_ctr exists to damp cost-driven
+            # churn, not to sit through an active violation risk.
+            cur_idx = (
+                table.index_of(current_hw.name)
+                if current_hw is not None
+                else None
+            )
+            emergency = (
+                escalating
+                and cur_idx is not None
+                and float(table.least_t_max[cur_idx]) > budget
+            )
+            limit = self.wait_limit if escalating else self.wait_limit_down
+            if current_hw is None or emergency or self._wait_ctr >= limit:
+                switch = True
+        else:
+            self._wait_ctr = 0
+        if self.tracer.enabled:
+            # The full Algorithm 1 audit row: candidate table, hysteresis
+            # state *before* any post-switch reset, and the verdict.
+            self.tracer.event(
+                "hardware_selection.tick",
+                now,
+                cat="decision",
+                predicted_rps=rate,
+                n_future=n_future,
+                backlog=backlog,
+                current=current_hw.name if current_hw is not None else None,
+                chosen=chosen.name,
+                switch_requested=switch,
+                emergency=emergency,
+                wait_ctr=self._wait_ctr,
+                wait_limit=self.wait_limit,
+                wait_limit_down=self.wait_limit_down,
+                slo_budget=self.slo_seconds * self.latency_budget_fraction,
+                perf_slack=self.perf_slack_seconds,
+                candidates=table.as_trace_rows(),
+            )
+        if switch:
+            self._wait_ctr = 0
+            self.switches_requested += 1
+        return SelectionOutcome(
+            chosen=chosen,
+            table=table,
+            switch_requested=switch,
+            predicted_rps=rate,
+        )
 
 
 class ReferencePolicyMixin:

@@ -17,7 +17,8 @@ columnar policy core.
 
 Covered regimes: every model in the catalog (all 16, Azure-signature
 traces), chaos injection (crashes + slowdowns + MPS faults), retry-based
-resilience, the contention-aware and Oracle policy variants, and
+resilience, node outages and open circuit breakers (nodes the selector
+must skip), the contention-aware and Oracle policy variants, and
 multi-model co-location.
 """
 
@@ -25,13 +26,19 @@ import numpy as np
 import pytest
 
 from repro.core.paldia import PaldiaPolicy
-from repro.core.resilience import ResilienceConfig
+from repro.core.resilience import BreakerPolicy, ResilienceConfig
 from repro.experiments.schemes import make_policy
 from repro.framework.multimodel import Deployment, MultiModelRun
 from repro.framework.slo import SLO
 from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
-from repro.simulator.chaos import ChaosSpec, MPSFaults, Slowdowns, StochasticCrashes
+from repro.simulator.chaos import (
+    ChaosSpec,
+    MPSFaults,
+    PeriodicOutage,
+    Slowdowns,
+    StochasticCrashes,
+)
 from repro.simulator.engine import Simulator
 from repro.workloads.models import ALL_MODELS, get_model
 from repro.workloads.traces import azure_trace, constant_trace, poisson_trace
@@ -132,6 +139,49 @@ def test_resilience_retry_bit_identical():
     _assert_bit_identical(oracle, candidate)
 
 
+@pytest.mark.parametrize("breaker", [False, True], ids=["outage", "breaker"])
+def test_unavailable_nodes_bit_identical(breaker, monkeypatch):
+    """Ticks whose unavailable set is non-empty: Fig 13b's outage marks
+    the failed node, and (with a one-strike breaker) the node's breaker
+    blocks it for the cooldown after each failure.  After each recovery
+    the selector must not reuse a table built while the node was out."""
+    seen = []
+    unavailable = ServerlessRun._unavailable
+
+    def spy(run):
+        names = unavailable(run)
+        blocked = [
+            hw.name
+            for hw in run.profiles.catalog
+            if run.resilience is not None
+            and run.resilience.target_blocked(hw.name, run.sim.now)
+        ]
+        seen.append((names, blocked))
+        return names
+
+    monkeypatch.setattr(ServerlessRun, "_unavailable", spy)
+
+    def cfg():
+        return RunConfig(
+            seed=1,
+            chaos=ChaosSpec(faults=(PeriodicOutage(120.0, 60.0, 60.0),)),
+            resilience=ResilienceConfig(
+                recovery="retry",
+                breaker=BreakerPolicy(failure_threshold=1, cooldown_seconds=30.0),
+            )
+            if breaker
+            else None,
+        )
+
+    kw = dict(scheme="paldia", duration=240.0, trace_kind="azure", seed=1)
+    oracle = _execute("densenet121", reference=True, config=cfg(), **kw)
+    candidate = _execute("densenet121", reference=False, config=cfg(), **kw)
+    _assert_bit_identical(oracle, candidate)
+    assert any(names for names, _ in seen)
+    if breaker:
+        assert any(blocked for _, blocked in seen)
+
+
 def test_contention_aware_bit_identical():
     kw = dict(
         scheme="paldia_contention_aware", duration=30.0,
@@ -139,6 +189,24 @@ def test_contention_aware_bit_identical():
     )
     oracle = _execute("resnet50", reference=True, **kw)
     candidate = _execute("resnet50", reference=False, **kw)
+    _assert_bit_identical(oracle, candidate)
+
+
+def test_contention_aware_colocated_bit_identical():
+    """SeBS co-location moves the contention estimates between ticks, so
+    the selector's memo must key on them."""
+    kw = dict(
+        scheme="paldia_contention_aware", duration=60.0,
+        trace_kind="azure", seed=2,
+    )
+    oracle = _execute(
+        "resnet50", reference=True,
+        config=RunConfig(seed=2, sebs_colocation=True), **kw
+    )
+    candidate = _execute(
+        "resnet50", reference=False,
+        config=RunConfig(seed=2, sebs_colocation=True), **kw
+    )
     _assert_bit_identical(oracle, candidate)
 
 
