@@ -68,8 +68,9 @@ logger = logging.getLogger(__name__)
 #: Default location used by the CLI's ``--cache-dir`` flag.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Bump when the on-disk entry layout changes.
-_SCHEMA = 1
+#: Bump when the on-disk entry layout changes.  2: a result's
+#: ``MetricsCollector`` pickles as compacted ledger columns.
+_SCHEMA = 2
 
 #: Module-level registry: the cache's counters live next to every other
 #: repro metric type (Counter semantics, Prometheus-exportable).

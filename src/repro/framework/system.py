@@ -1475,10 +1475,12 @@ class ServerlessRun:
     # Result assembly
     # ------------------------------------------------------------------
     def _finalize(self) -> RunResult:
-        # Anything not completed counts against compliance.
+        # Anything not completed counts against compliance (the collector
+        # divides by offered requests); derived here, so finalize() can be
+        # called again without counting it twice.
         completed = self.metrics.completed_requests()
         offered = self.metrics.total_requests_offered
-        self.metrics.record_unserved(max(0, offered - completed))
+        unserved = max(0, offered - completed)
 
         duration = self.trace.duration
         horizon = self.sim.now
@@ -1574,6 +1576,7 @@ class ServerlessRun:
                     breakdown.bucket_dollars
                 )
         slo_s = self.slo.target_seconds
+        p50, p99 = self.metrics.percentile_latencies((50.0, 99.0))
         return RunResult(
             scheme=self.policy.name,
             model=self.model.name,
@@ -1581,10 +1584,10 @@ class ServerlessRun:
             duration=duration,
             offered_requests=offered,
             completed_requests=completed,
-            unserved_requests=max(0, offered - completed),
+            unserved_requests=unserved,
             slo_compliance=self.metrics.slo_compliance(slo_s),
-            p50_seconds=self.metrics.percentile_latency(50.0),
-            p99_seconds=self.metrics.percentile_latency(99.0),
+            p50_seconds=p50,
+            p99_seconds=p99,
             total_cost=cost,
             cost_by_spec=cost_by_spec,
             time_by_spec=time_by_spec,

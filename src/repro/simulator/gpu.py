@@ -6,8 +6,9 @@ Spatial jobs co-run under MPS as a processor-sharing set: every resident
 job progresses at rate ``1 / slowdown(total_fbr)`` where ``slowdown`` is the
 cluster's :class:`~repro.simulator.interference.InterferenceModel`.  When
 the resident set changes (a job arrives or finishes), remaining work is
-advanced and the next completion is rescheduled — the standard
-event-driven processor-sharing construction, O(k) per transition.
+advanced, the set's aggregate FBR and progress rate are recomputed once,
+and the next completion is rescheduled — the standard event-driven
+processor-sharing construction, O(k) per transition.
 
 Temporal jobs wait in a FIFO and are *promoted* onto the device only when it
 is otherwise idle, which is exactly what software time sharing is: the
@@ -25,6 +26,7 @@ everything (INFless/Llama) on small GPUs.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,6 +46,9 @@ __all__ = ["GPUDevice"]
 #: Remaining work below this many solo-seconds counts as finished
 #: (guards float accumulation error in the processor-sharing updates).
 _WORK_EPS = 1e-9
+
+_FBR = attrgetter("fbr")
+_WORK = attrgetter("work")
 
 
 class GPUDevice:
@@ -93,6 +98,10 @@ class GPUDevice:
         self.exec_noise_sigma = float(exec_noise_sigma)
 
         self._active: list[Job] = []
+        #: Aggregate FBR of the resident set and the per-job progress rate
+        #: it implies, recomputed on every change to ``_active``.
+        self._fbr = 0.0
+        self._progress_rate = 1.0
         self._pending_spatial: deque[Job] = deque()
         self._temporal_q: deque[Job] = deque()
         #: Requests in both queues, kept on every enqueue/dequeue/evict.
@@ -154,7 +163,7 @@ class GPUDevice:
     @property
     def total_fbr(self) -> float:
         """Aggregate bandwidth demand of the resident set."""
-        return float(sum(j.fbr for j in self._active))
+        return self._fbr
 
     @property
     def mem_used_gb(self) -> float:
@@ -183,7 +192,7 @@ class GPUDevice:
         """
         if not self._active:
             return 0.0
-        fbr = self.total_fbr
+        fbr = self._fbr
         return min(1.0, fbr) if fbr > 0.0 else 1.0
 
     @property
@@ -249,6 +258,7 @@ class GPUDevice:
             job.started_at = None
             job.work = 0.0
         self._active.clear()
+        self._resident_changed()
         self._pending_spatial.clear()
         self._temporal_q.clear()
         self._queued_requests = 0
@@ -272,6 +282,7 @@ class GPUDevice:
             return None
         job = self._active[-1]
         self._active.remove(job)
+        self._resident_changed()
         self._mem_used -= job.mem_gb
         job.started_at = None
         job.work = 0.0
@@ -285,17 +296,18 @@ class GPUDevice:
     # Internals
     # ------------------------------------------------------------------
     def _start(self, job: Job) -> None:
-        job.started_at = self.sim.now
+        now = job.started_at = self.sim.now
         self._active.append(job)
+        self._resident_changed()
         self._mem_used += job.mem_gb
         rt = self.reqtrace
         if rt is not None:
             rt.on_execute_start(
                 job.batch.batch_id,
-                self.sim.now,
+                now,
                 self.spec.name,
                 len(self._active),
-                self.total_fbr,
+                self._fbr,
             )
         self._mark_busy_transition()
 
@@ -316,18 +328,25 @@ class GPUDevice:
             self._queued_requests -= job.batch.size
             self._start(job)
 
+    def _resident_changed(self) -> None:
+        """Recompute the resident set's aggregate FBR (summed in resident
+        order) and its per-job progress rate after ``_active`` changed."""
+        active = self._active
+        fbr = self._fbr = float(sum(map(_FBR, active)))
+        self._progress_rate = (
+            1.0 / self.interference.slowdown(fbr) if active else 1.0
+        )
+
     def _rate(self) -> float:
         """Per-job progress rate of the current resident set."""
-        if not self._active:
-            return 1.0
-        return 1.0 / self.interference.slowdown(self.total_fbr)
+        return self._progress_rate
 
     def _advance(self) -> None:
         """Credit elapsed wall time to every resident job's remaining work."""
         now = self.sim.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._active:
-            progressed = elapsed * self._rate()
+            progressed = elapsed * self._progress_rate
             for job in self._active:
                 job.work -= progressed
         self._last_update = now
@@ -347,8 +366,8 @@ class GPUDevice:
             self._completion_ev = None
         if not self._active:
             return
-        min_work = min(j.work for j in self._active)
-        delay = max(0.0, min_work) / self._rate()
+        min_work = min(map(_WORK, self._active))
+        delay = max(0.0, min_work) / self._progress_rate
         self._completion_ev = self.sim.schedule(delay, self._on_completion)
 
     def _on_completion(self) -> None:
@@ -364,6 +383,7 @@ class GPUDevice:
         else:
             for job in finished:
                 self._active.remove(job)
+                self._resident_changed()
                 self._mem_used -= job.mem_gb
                 self._complete(job)
             self._drain_pending()
@@ -378,26 +398,26 @@ class GPUDevice:
         job.completed_at = now
         self.jobs_completed += 1
         batch = job.batch
-        batch.started_at = job.started_at
-        assert job.started_at is not None
-        wait = job.started_at - job.submitted_at
-        exec_time = now - job.started_at
+        bd = batch.breakdown
+        started = batch.started_at = job.started_at
+        assert started is not None
+        wait = started - job.submitted_at
+        exec_time = now - started
+        solo = job.solo_time
         # A straggler window stretches the job's nominal service time; the
         # stretch is charged to failure_wait, and only time beyond the
         # *inflated* solo counts as interference.
-        inflated_solo = job.solo_time * job.slowdown
+        inflated_solo = solo * job.slowdown
         interference_extra = max(0.0, exec_time - inflated_solo)
         if job.is_spatial:
             # A spatial job only ever waits because co-location pressure
             # exhausted device memory — that wait is interference-induced.
             interference_extra += wait
         else:
-            batch.breakdown.queue_delay += wait
-        batch.breakdown.exec_solo += min(exec_time, job.solo_time)
-        batch.breakdown.failure_wait += max(
-            0.0, min(exec_time, inflated_solo) - job.solo_time
-        )
-        batch.breakdown.interference_extra += interference_extra
+            bd.queue_delay += wait
+        bd.exec_solo += min(exec_time, solo)
+        bd.failure_wait += max(0.0, min(exec_time, inflated_solo) - solo)
+        bd.interference_extra += interference_extra
         batch.complete(now)
         batch.hardware_name = self.spec.name
         if job.on_complete is not None:

@@ -1,27 +1,42 @@
-"""Run metrics: latency records, SLO accounting, goodput, breakdowns.
+"""Run metrics: the completion ledger, SLO accounting, goodput, breakdowns.
 
 One :class:`MetricsCollector` per (scheme, run).  Batches report in on
-completion; per-request latencies are expanded lazily and vectorised.
-Requests still unfinished when the run ends are counted as SLO violations
-with an effectively infinite latency (the paper's compliance percentages
-are over *all* requests).
+completion and land in a columnar ledger: per batch, a flat row of
+scalars (completion time, size and the six breakdown components), one
+interned small-int code for its (model, hardware, mode), and its arrival
+view.  The first read compacts the ledger into NumPy columns — per-request
+latencies are ``np.repeat(completed, sizes) - arrivals`` — and every
+summary is a vectorised pass over those columns.  The compacted ledger
+is cached until the next record.
+
+Requests still unfinished when the run ends count against compliance
+only: :meth:`MetricsCollector.slo_compliance` divides by every *offered*
+request (the paper's compliance percentages are over all requests),
+while percentiles, the CDF, goodput and breakdowns cover completed
+requests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from array import array
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.framework.request import Batch
+from repro.telemetry.reqtrace import PHASES
 
 __all__ = ["BatchRecord", "MetricsCollector"]
+
+#: Scalars per ledger row: completion time, size, then the breakdown
+#: components in ``PHASES`` order.
+_ROW = 2 + len(PHASES)
 
 
 @dataclass(frozen=True, eq=False)
 class BatchRecord:
-    """Immutable snapshot of one completed batch."""
+    """Immutable snapshot of one completed batch (a ledger row view)."""
 
     model: str
     arrivals: np.ndarray
@@ -43,37 +58,107 @@ class BatchRecord:
         return self.completed_at - self.arrivals
 
 
+class _Ledger:
+    """The compacted, read-only columns of a collector.
+
+    Per batch: ``completed``, ``sizes``, ``codes`` (index into ``keys``,
+    the interned ``(model, hardware, mode)`` triples in first-completion
+    order) and one column per breakdown component.  Per request:
+    ``arrivals`` in completion order.  Derived columns are computed on
+    first use.
+    """
+
+    __slots__ = (
+        "keys", "completed", "sizes", "components", "codes", "arrivals",
+        "_latencies", "_worst",
+    )
+
+    def __init__(self, keys, table, codes, arrivals):
+        self.keys: list[tuple[str, str, str]] = keys
+        self.completed: np.ndarray = table[:, 0]
+        self.sizes: np.ndarray = table[:, 1].astype(np.intp)
+        self.components = tuple(table[:, i] for i in range(2, _ROW))
+        self.codes: np.ndarray = codes
+        self.arrivals: np.ndarray = arrivals
+        self._latencies: Optional[np.ndarray] = None
+        self._worst: Optional[np.ndarray] = None
+
+    @property
+    def latencies(self) -> np.ndarray:
+        """Per-request latency, in completion order."""
+        if self._latencies is None:
+            self._latencies = (
+                np.repeat(self.completed, self.sizes) - self.arrivals
+            )
+        return self._latencies
+
+    @property
+    def worst(self) -> np.ndarray:
+        """Per-batch latency of the first (oldest) arrival."""
+        if self._worst is None:
+            starts = np.cumsum(self.sizes) - self.sizes
+            self._worst = self.completed - self.arrivals[starts]
+        return self._worst
+
+    def batch_mask(self, model: str) -> np.ndarray:
+        """Batches of ``model``."""
+        of_model = np.fromiter(
+            (key[0] == model for key in self.keys), dtype=bool,
+            count=len(self.keys),
+        )
+        return of_model[self.codes]
+
+    def counts_by(self, field: int) -> dict[str, int]:
+        """Completed requests per ``keys[*][field]``, in first-completion
+        order of that field's values."""
+        per_key = np.bincount(
+            self.codes, weights=self.sizes, minlength=len(self.keys)
+        )
+        out: dict[str, int] = {}
+        for key, n in zip(self.keys, per_key.tolist()):
+            out[key[field]] = out.get(key[field], 0) + int(n)
+        return out
+
+
 class MetricsCollector:
-    """Accumulates batch completions and unserved-request counts."""
+    """Accumulates batch completions and offered/unserved request counts."""
 
     def __init__(self) -> None:
-        self.records: list[BatchRecord] = []
         self.unserved_requests = 0
         self.total_requests_offered = 0
+        self._keys: dict[tuple[str, str, str], int] = {}
+        # Rows and codes recorded since the last compaction, then the
+        # compacted ones.
+        self._rows = array("d")
+        self._codes = array("i")
+        self._table = np.empty((0, _ROW))
+        self._code_col = np.empty(0, dtype=np.intc)
+        #: Per-batch arrival views; a single array once compacted.
+        self._arrivals: list[np.ndarray] = []
+        self._ledger: Optional[_Ledger] = None
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def record_batch(self, batch: Batch) -> None:
-        """Snapshot a completed batch."""
-        if batch.completed_at is None:
+        """Append a completed batch to the ledger."""
+        done = batch.completed_at
+        if done is None:
             raise ValueError(f"batch {batch.batch_id} has not completed")
         bd = batch.breakdown
-        self.records.append(
-            BatchRecord(
-                model=batch.model.name,
-                arrivals=batch.arrivals,
-                completed_at=batch.completed_at,
-                hardware=batch.hardware_name or "?",
-                mode=batch.mode,
-                batching_wait=bd.batching_wait,
-                cold_start_wait=bd.cold_start_wait,
-                queue_delay=bd.queue_delay,
-                exec_solo=bd.exec_solo,
-                interference_extra=bd.interference_extra,
-                failure_wait=bd.failure_wait,
-            )
-        )
+        key = (batch.model.name, batch.hardware_name or "?", batch.mode)
+        code = self._keys.get(key)
+        if code is None:
+            code = self._keys[key] = len(self._keys)
+        arrivals = batch.arrivals
+        self._codes.append(code)
+        self._rows.extend((
+            done, arrivals.size, bd.batching_wait, bd.cold_start_wait,
+            bd.queue_delay, bd.exec_solo, bd.interference_extra,
+            bd.failure_wait,
+        ))
+        self._arrivals.append(arrivals)
+        self._ledger = None
 
     def record_offered(self, n: int) -> None:
         """Count requests offered to the system (arrivals)."""
@@ -85,23 +170,70 @@ class MetricsCollector:
         self.unserved_requests += int(n)
 
     # ------------------------------------------------------------------
+    # Compaction and pickling
+    # ------------------------------------------------------------------
+    def _compacted(self) -> _Ledger:
+        """The ledger as NumPy columns, built once per batch of records:
+        rows, codes and arrival views recorded since the last compaction
+        are folded into the compacted arrays and released."""
+        led = self._ledger
+        if led is None:
+            rows = np.frombuffer(self._rows, dtype=np.float64)
+            self._table = np.concatenate((self._table, rows.reshape(-1, _ROW)))
+            self._code_col = np.concatenate(
+                (self._code_col, np.frombuffer(self._codes, dtype=np.intc))
+            )
+            self._rows = array("d")
+            self._codes = array("i")
+            views = self._arrivals
+            arrivals = np.concatenate(views) if views else np.empty(0)
+            self._arrivals = [arrivals]
+            led = self._ledger = _Ledger(
+                list(self._keys), self._table, self._code_col, arrivals
+            )
+        return led
+
+    def __getstate__(self) -> dict:
+        # Pickles the compacted arrays only; the column views and derived
+        # columns are rebuilt on first read.
+        self._compacted()
+        return {**self.__dict__, "_ledger": None}
+
+    # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def latencies(self, model: Optional[str] = None) -> np.ndarray:
-        """All per-request latencies (seconds), vectorised."""
-        parts = [
-            r.latencies()
-            for r in self.records
-            if model is None or r.model == model
+    @property
+    def records(self) -> list[BatchRecord]:
+        """One :class:`BatchRecord` per completed batch, in completion
+        order (a read-only compatibility view built on each access)."""
+        led = self._compacted()
+        ends = np.cumsum(led.sizes).tolist()
+        return [
+            BatchRecord(model, led.arrivals[start:end], done, hardware, mode, *parts)
+            for (model, hardware, mode), start, end, done, *parts in zip(
+                map(led.keys.__getitem__, led.codes.tolist()),
+                [0, *ends], ends, led.completed.tolist(),
+                *(c.tolist() for c in led.components),
+            )
         ]
-        if not parts:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(parts)
+
+    def latencies(self, model: Optional[str] = None) -> np.ndarray:
+        """All per-request latencies (seconds), in completion order."""
+        lat = self._latencies(model)
+        return lat.copy() if model is None else lat
+
+    def _latencies(self, model: Optional[str]) -> np.ndarray:
+        """:meth:`latencies`, sharing the cached array when unfiltered."""
+        led = self._compacted()
+        if model is None:
+            return led.latencies
+        return led.latencies[np.repeat(led.batch_mask(model), led.sizes)]
 
     def completed_requests(self, model: Optional[str] = None) -> int:
-        return sum(
-            r.size for r in self.records if model is None or r.model == model
-        )
+        led = self._compacted()
+        if model is None:
+            return int(led.arrivals.size)
+        return int(led.sizes[led.batch_mask(model)].sum())
 
     # ------------------------------------------------------------------
     # Headline metrics
@@ -113,7 +245,7 @@ class MetricsCollector:
         were not recorded, the denominator falls back to completed +
         unserved.
         """
-        lat = self.latencies(model)
+        lat = self._latencies(model)
         met = int(np.count_nonzero(lat <= slo_seconds))
         denom = self.total_requests_offered
         if denom <= 0 or model is not None:
@@ -128,16 +260,23 @@ class MetricsCollector:
         self, q: float, model: Optional[str] = None
     ) -> float:
         """Latency percentile in seconds (e.g. ``q=99`` for P99)."""
-        lat = self.latencies(model)
+        return self.percentile_latencies((q,), model)[0]
+
+    def percentile_latencies(
+        self, qs: Sequence[float], model: Optional[str] = None
+    ) -> tuple[float, ...]:
+        """Several latency percentiles from one partition of the
+        latencies; each equals :meth:`percentile_latency` at that ``q``."""
+        lat = self._latencies(model)
         if lat.size == 0:
-            return 0.0
-        return float(np.percentile(lat, q))
+            return tuple(0.0 for _ in qs)
+        return tuple(np.percentile(lat, list(qs)).tolist())
 
     def latency_cdf(
         self, model: Optional[str] = None, n_points: int = 200
     ) -> tuple[np.ndarray, np.ndarray]:
         """(latency_seconds, cumulative_fraction) curve for Fig 6."""
-        lat = np.sort(self.latencies(model))
+        lat = np.sort(self._latencies(model))
         if lat.size == 0:
             return np.empty(0), np.empty(0)
         idx = np.linspace(0, lat.size - 1, min(n_points, lat.size)).astype(int)
@@ -154,16 +293,12 @@ class MetricsCollector:
         t0, t1 = window
         if t1 <= t0:
             raise ValueError("empty goodput window")
-        good = 0
-        for r in self.records:
-            if model is not None and r.model != model:
-                continue
-            mask = (r.arrivals >= t0) & (r.arrivals < t1)
-            if not mask.any():
-                continue
-            lat = r.completed_at - r.arrivals[mask]
-            good += int(np.count_nonzero(lat <= slo_seconds))
-        return good / (t1 - t0)
+        led = self._compacted()
+        arrivals = led.arrivals
+        good = (arrivals >= t0) & (arrivals < t1) & (led.latencies <= slo_seconds)
+        if model is not None:
+            good &= np.repeat(led.batch_mask(model), led.sizes)
+        return int(np.count_nonzero(good)) / (t1 - t0)
 
     # ------------------------------------------------------------------
     # Tail-latency breakdown (Figs 1 and 4)
@@ -178,45 +313,33 @@ class MetricsCollector:
         falls in the top ``tail_frac`` of per-batch latencies, average each
         breakdown component.  Returns seconds per component plus 'total'.
         """
-        recs = [r for r in self.records if model is None or r.model == model]
-        if not recs:
-            return {
-                "batching_wait": 0.0,
-                "cold_start_wait": 0.0,
-                "queue_delay": 0.0,
-                "exec_solo": 0.0,
-                "interference_extra": 0.0,
-                "failure_wait": 0.0,
-                "total": 0.0,
-            }
-        worst = np.array([r.completed_at - r.arrivals[0] for r in recs])
+        led = self._compacted()
+        worst = led.worst
+        selected = None if model is None else np.flatnonzero(led.batch_mask(model))
+        if selected is not None:
+            worst = worst[selected]
+        if worst.size == 0:
+            return dict.fromkeys((*PHASES, "total"), 0.0)
         cut = np.percentile(worst, q)
-        tail = [r for r, w in zip(recs, worst) if w >= cut]
-        if not tail:
-            tail = recs
+        tail = np.flatnonzero(worst >= cut)
+        if tail.size == 0:
+            tail = np.arange(worst.size)
+        if selected is not None:
+            tail = selected[tail]
+        # Each mean runs over a contiguous 1-D copy of one component's
+        # tail rows, so it sums in the same order as a mean over a list
+        # of the batches' values (a 2-D mean(axis=0) would not).
         out = {
-            "batching_wait": float(np.mean([r.batching_wait for r in tail])),
-            "cold_start_wait": float(np.mean([r.cold_start_wait for r in tail])),
-            "queue_delay": float(np.mean([r.queue_delay for r in tail])),
-            "exec_solo": float(np.mean([r.exec_solo for r in tail])),
-            "interference_extra": float(
-                np.mean([r.interference_extra for r in tail])
-            ),
-            "failure_wait": float(np.mean([r.failure_wait for r in tail])),
+            name: float(np.mean(column[tail]))
+            for name, column in zip(PHASES, led.components)
         }
         out["total"] = float(sum(out.values()))
         return out
 
     def hardware_usage(self) -> dict[str, int]:
         """Completed-request counts per hardware type."""
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.hardware] = out.get(r.hardware, 0) + r.size
-        return out
+        return self._compacted().counts_by(1)
 
     def mode_split(self) -> dict[str, int]:
         """Completed-request counts per share mode (spatial/temporal)."""
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.mode] = out.get(r.mode, 0) + r.size
-        return out
+        return self._compacted().counts_by(2)

@@ -76,8 +76,9 @@ __all__ = [
 
 #: The six causal phases of a request's life, in timeline order.  This
 #: is the single source of truth for phase names: the batch breakdown
-#: (:class:`~repro.framework.request.BatchBreakdown`), the trace-report
-#: latency table, and the attribution causes all cite these names.
+#: (:class:`~repro.framework.request.BatchBreakdown`), the completion
+#: ledger's columns, the trace-report latency table, and the attribution
+#: causes all cite these names.
 PHASES: tuple[str, ...] = (
     "batching_wait",
     "cold_start_wait",

@@ -6,7 +6,12 @@ import pytest
 from repro.baselines.offline_hybrid import OfflineHybridPolicy
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.system import RunConfig, ServerlessRun
-from repro.workloads.traces import Trace, azure_trace, constant_trace
+from repro.workloads.traces import (
+    Trace,
+    azure_trace,
+    constant_trace,
+    poisson_trace,
+)
 
 
 def make_step_trace(low, high, t_switch, duration, bin_seconds=1.0):
@@ -107,3 +112,22 @@ class TestEmptyAndTiny:
         r = ServerlessRun(resnet50, trace, policy, profiles, slo).execute()
         assert r.offered_requests == 0
         assert r.slo_compliance == 1.0
+
+
+class TestFinalize:
+    def test_finalize_is_idempotent(self, resnet50, profiles, slo):
+        """Stopped mid-trace, a run has unserved requests; summarising it
+        twice must not count them twice."""
+        trace = poisson_trace(rate_rps=400.0, duration=30.0, seed=0)
+        policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
+        run = ServerlessRun(resnet50, trace, policy, profiles, slo)
+        run.arm()
+        run.sim.run(until=15.0)
+        first = run.finalize()
+        second = run.finalize()
+        assert first.unserved_requests > 0
+        assert first.completed_requests + first.unserved_requests == (
+            first.offered_requests
+        )
+        assert second == first
+        assert repr(second.slo_compliance) == repr(first.slo_compliance)

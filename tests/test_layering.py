@@ -4,6 +4,10 @@ The frozen seed oracles (``tests/oracles/``) exist so the golden suites
 and benchmarks can hold the one production code path to bit identity and
 speed.  If ``src/`` imported them, the oracle would stop being an
 independent reference.  This scans every module under ``src/repro``.
+
+It also holds ``src/`` off ``MetricsCollector.records``: the per-batch
+row view of the columnar completion ledger is kept for API compatibility
+only, and production summaries read the columns.
 """
 
 import ast
@@ -17,7 +21,7 @@ MODULES = sorted(SRC.rglob("*.py"))
 #: Module names of the seed oracles, wherever they might be imported from.
 ORACLE_MODULES = {
     "oracles", "reference_simulator", "reference_model", "reference_policy",
-    "_reference", "_reference_model",
+    "reference_metrics", "_reference", "_reference_model",
 }
 
 
@@ -61,3 +65,37 @@ def test_scanner_flags_oracle_imports():
         "from repro.core.model import optimal_split\n"
     )
     assert [line for line, _ in forbidden_imports(source)] == [2, 3, 4, 5]
+
+
+def metrics_record_reads(source: str) -> list[int]:
+    """Lines reading ``<...>metrics.records``: the per-batch row view of
+    the completion ledger exists for callers outside ``src/`` only."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "records"
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id == "metrics")
+            or (isinstance(node.value, ast.Attribute)
+                and node.value.attr == "metrics")
+        )
+    ]
+
+
+def test_src_never_reads_the_ledger_row_view():
+    assert {
+        str(p.relative_to(SRC)): lines
+        for p in MODULES
+        if (lines := metrics_record_reads(p.read_text()))
+    } == {}
+
+
+def test_scanner_flags_ledger_row_view_reads():
+    source = (
+        "rows = result.metrics.records\n"
+        "rows = metrics.records\n"
+        "rows = data.records\n"
+        "n = result.metrics.completed_requests()\n"
+    )
+    assert metrics_record_reads(source) == [1, 2]
