@@ -51,6 +51,7 @@ from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.power import cluster_energy_joules, node_energy_joules
 from repro.telemetry.costmeter import CostBreakdown, CostBudgetMonitor, CostMeter
+from repro.telemetry.metrics import Counter
 from repro.telemetry.reqtrace import RequestTraceData, RequestTracer
 from repro.telemetry.selfprof import RunProfiler
 from repro.telemetry.slo_monitor import SLOMonitor
@@ -323,6 +324,9 @@ class ServerlessRun:
         #: node_ids this run leased (in a shared cluster, the lane's own
         #: share of the bill).
         self._owned_node_ids: set[int] = set()
+        #: Cold starts of every pool on the nodes this run leased, counted
+        #: as they happen (see :meth:`_own`).
+        self._cold_starts = Counter("cold_starts.total")
         self._sebs: Optional[SebsColocator] = None
         cfg = self.config
         self.resilience: Optional[ResilienceController] = (
@@ -352,6 +356,9 @@ class ServerlessRun:
                 # Must be installed before the warm-start pool is created
                 # in _setup so every pool sees the hook.
                 self.cluster.spawn_delay_fn = self._chaos.cold_start_delay
+        #: The tracer's request-latency histogram; set in
+        #: ``_setup_telemetry`` (only reached when tracing is enabled).
+        self._latency_histogram = None
         #: Live SLO burn-rate monitor; constructed in ``_setup_telemetry``
         #: only when tracing is enabled and the window is positive.
         self.slo_monitor: Optional[SLOMonitor] = None
@@ -429,7 +436,7 @@ class ServerlessRun:
         hint = max(self.trace.rate_window(0.0, 10.0), 1.0)
         initial_hw = self.policy.initial_hardware(hint)
         node = self.cluster.acquire(initial_hw, lambda n: None, instant=True)
-        self._owned_node_ids.add(node.node_id)
+        self._own(node)
         self._current = node
         self.switch_log.append((0.0, "-", initial_hw.name))
         if cfg.warm_start:
@@ -500,7 +507,7 @@ class ServerlessRun:
             }
         )
         reg = self.tracer.metrics
-        reg.histogram("request.latency_seconds")
+        self._latency_histogram = reg.histogram("request.latency_seconds")
 
         def current(attr_fn, default=0.0):
             def read():
@@ -537,15 +544,8 @@ class ServerlessRun:
             "gpu.mem_used_gb",
             current(lambda n: getattr(n.device, "mem_used_gb", 0.0)),
         )
-        reg.gauge(
-            "cold_starts.total",
-            lambda: sum(
-                p.cold_starts
-                for node in self.cluster.nodes
-                if node.node_id in self._owned_node_ids
-                for p in node.pools().values()
-            ),
-        )
+        cold_starts = self._cold_starts
+        reg.gauge("cold_starts.total", lambda: cold_starts.value)
         if self.resilience is not None:
             res = self.resilience
             reg.gauge(
@@ -685,39 +685,37 @@ class ServerlessRun:
             "autoscaler.pool_target",
             lambda: float(self.autoscaler.last_pool_target),
         )
-        sampler.probe(
-            "cold_starts.total",
-            lambda: float(
-                sum(
-                    p.cold_starts
-                    for node in self.cluster.nodes
-                    if node.node_id in self._owned_node_ids
-                    for p in node.pools().values()
-                )
-            ),
+        cold_starts = self._cold_starts
+        sampler.probe("cold_starts.total", lambda: cold_starts.value)
+
+        # Per-node-type mean occupancy / MPS co-run level across live
+        # leases: one pass over the nodes fills every spec's two columns.
+        spec_names = [spec.name for spec in catalog]
+
+        def per_spec() -> list[float]:
+            occupancy: dict[str, list] = {name: [] for name in spec_names}
+            co_run: dict[str, list] = {name: [] for name in spec_names}
+            owned = self._owned_node_ids
+            for node in self.cluster.active_nodes():
+                if node.node_id in owned and node.spec.name in occupancy:
+                    occupancy[node.spec.name].append(node.occupancy)
+                    co_run[node.spec.name].append(node.co_run_level)
+            out: list[float] = []
+            for name in spec_names:
+                for vals in (occupancy[name], co_run[name]):
+                    out.append(
+                        float(sum(vals)) / len(vals) if vals else math.nan
+                    )
+            return out
+
+        sampler.probe_group(
+            [
+                f"node.{name}.{column}"
+                for name in spec_names
+                for column in ("occupancy", "co_run")
+            ],
+            per_spec,
         )
-
-        # Per-node-type occupancy / MPS co-run level across live leases.
-        def per_spec(spec_name: str, attr: str):
-            def read() -> float:
-                vals = [
-                    getattr(node, attr)
-                    for node in self.cluster.active_nodes()
-                    if node.node_id in self._owned_node_ids
-                    and node.spec.name == spec_name
-                ]
-                if not vals:
-                    return math.nan
-                return float(sum(vals)) / len(vals)
-            return read
-
-        for spec in catalog:
-            sampler.probe(
-                f"node.{spec.name}.occupancy", per_spec(spec.name, "occupancy")
-            )
-            sampler.probe(
-                f"node.{spec.name}.co_run", per_spec(spec.name, "co_run_level")
-            )
 
         # Resilience layer (only when configured).
         if self.resilience is not None:
@@ -742,25 +740,9 @@ class ServerlessRun:
         # monitor is created just before this method runs.
         if self.slo_monitor is not None:
             mon = self.slo_monitor
-            sampler.probe(
-                "slo.burn_rate",
-                lambda: max(
-                    (
-                        s.burn_rate
-                        for s in mon.window_stats(self.sim.now, include_p99=False)
-                    ),
-                    default=0.0,
-                ),
-            )
-            sampler.probe(
-                "slo.attainment",
-                lambda: min(
-                    (
-                        s.attainment
-                        for s in mon.window_stats(self.sim.now, include_p99=False)
-                    ),
-                    default=1.0,
-                ),
+            sampler.probe_group(
+                ("slo.burn_rate", "slo.attainment"),
+                lambda: mon.summary(self.sim.now),
             )
 
         # Cumulative dollars + $/hour burn rate (cost pillar).
@@ -1032,6 +1014,10 @@ class ServerlessRun:
             if self.resilience is not None:
                 self.resilience.record_success(spec.name, self.sim.now)
             self.metrics.record_batch(batch)
+            # The telemetry sinks' per-batch fan-out.
+            prof = self.selfprof
+            if prof is not None:
+                prof.push("telemetry.batch")
             meter = self.costmeter
             if meter is not None:
                 meter.on_batch(
@@ -1047,7 +1033,7 @@ class ServerlessRun:
                 rt.on_batch_complete(batch, node.node_id)
             if self.tracer.enabled:
                 self.tracer.record_batch_span(batch)
-                self.tracer.metrics.histogram("request.latency_seconds").observe(
+                self._latency_histogram.observe(
                     float(batch.completed_at) - batch.first_arrival
                 )
                 if self.slo_monitor is not None:
@@ -1057,6 +1043,8 @@ class ServerlessRun:
                         batch.hardware_name or "?",
                         batch.latencies(),
                     )
+            if prof is not None:
+                prof.pop()
 
         def on_evict(job: Job) -> None:
             pool.release()
@@ -1194,7 +1182,21 @@ class ServerlessRun:
                 )
 
         node = self.cluster.acquire(desired, on_ready, instant=instant)
+        self._own(node)
+
+    def _own(self, node: NodeInstance) -> None:
+        """Record a node this run leased, and count its cold starts.
+
+        ``Cluster.acquire`` can run ``on_ready`` (and so spawn containers)
+        before it returns the node, so cold starts already taken on the
+        node's pools are added before the counter is handed on.
+        """
         self._owned_node_ids.add(node.node_id)
+        counter = self._cold_starts
+        node.cold_start_counter = counter
+        for pool in node.pools().values():
+            pool.cold_start_counter = counter
+            counter.inc(pool.cold_starts)
 
     def _switch_to(self, node: NodeInstance) -> None:
         old = self._current
@@ -1337,7 +1339,7 @@ class ServerlessRun:
             )
 
         node = self.cluster.acquire(failover, on_ready)
-        self._owned_node_ids.add(node.node_id)
+        self._own(node)
 
     def _on_node_recovery(self) -> None:
         self._failed_specs.clear()
@@ -1527,11 +1529,7 @@ class ServerlessRun:
             name: float(np.mean(vals)) for name, vals in util.items()
         }
 
-        cold = sum(
-            pool.cold_starts
-            for node, _ in owned
-            for pool in node.pools().values()
-        )
+        cold = int(self._cold_starts.value)
         breakdown = None
         meter = self.costmeter
         if meter is not None:

@@ -67,6 +67,7 @@ class NodeInstance:
         "available",
         "spawn_delay_fn",
         "costmeter",
+        "cold_start_counter",
     )
 
     _ids = 0
@@ -97,6 +98,9 @@ class NodeInstance:
         #: Optional :class:`~repro.telemetry.costmeter.CostMeter` handed
         #: to pools created on this node (spawn-interval itemization).
         self.costmeter = None
+        #: Cold-start counter of the run that owns this node, handed to
+        #: pools created on it (see :meth:`ContainerPool._spawn`).
+        self.cold_start_counter = None
 
     def pool(self, model_name: str) -> ContainerPool:
         """The container pool for ``model_name`` (created on first use)."""
@@ -107,6 +111,7 @@ class NodeInstance:
             pool.spawn_delay_fn = self.spawn_delay_fn
             pool.costmeter = self.costmeter
             pool.cost_key = self.node_id
+            pool.cold_start_counter = self.cold_start_counter
             self._pools[model_name] = pool
             return pool
 

@@ -95,6 +95,10 @@ class ContainerPool:
         self.costmeter = None
         #: The owning node's id, the meter's lease key.
         self.cost_key = -1
+        #: Optional shared counter (anything with ``inc()``) that also
+        #: counts this pool's cold starts — the owning run's running
+        #: total over every pool on the nodes it leased.
+        self.cold_start_counter = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -160,6 +164,9 @@ class ContainerPool:
         self._spawning += 1
         self.spawned_total += 1
         self.cold_starts += 1
+        counter = self.cold_start_counter
+        if counter is not None:
+            counter.inc()
         delay = (
             self.spawn_delay_fn(self.cold_start_seconds)
             if self.spawn_delay_fn is not None

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -295,7 +296,7 @@ class CostMeter:
             events.append((s1, 0, REMOVE_SPAWN, ()))
         if start < ready:
             events.append((ready, 0, -1, ()))  # bucket boundary only
-        events.sort(key=lambda e: (e[0], e[1]))
+        events.sort(key=itemgetter(0, 1))
 
         bucket_dollars = {b: 0.0 for b in BUCKETS}
         bucket_seconds = {b: 0.0 for b in BUCKETS}

@@ -13,6 +13,7 @@ nothing.
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "P2Quantile"]
@@ -191,6 +192,13 @@ class Histogram:
     quantiles fall back to bucket resolution — the upper bound of the
     bucket holding the target observation, ``inf`` for the overflow
     bucket.
+
+    :meth:`observe` only appends the value to a buffer of doubles (one
+    per observation, the cost the instrumented hot path pays).  Every
+    read — :attr:`counts`, :attr:`n`, :attr:`sum`, :attr:`exact`,
+    :meth:`quantile` — first folds the buffer into the bucket, raw and
+    P² state in arrival order, so each read sees exactly the state eager
+    observation would have built.
     """
 
     DEFAULT_BOUNDS: tuple[float, ...] = (
@@ -214,18 +222,31 @@ class Histogram:
         if list(bs) != sorted(bs) or len(set(bs)) != len(bs):
             raise ValueError("histogram bounds must be strictly increasing")
         self.bounds = bs
-        self.counts = [0] * (len(bs) + 1)
-        self.n = 0
-        self.sum = 0.0
+        self._counts = [0] * (len(bs) + 1)
+        self._n = 0
+        self._sum = 0.0
         self._raw: Optional[list[float]] = []
         self._p2: Optional[dict[float, P2Quantile]] = None
+        #: Observations not yet folded, in arrival order.
+        self._pending = array("d")
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.n += 1
-        self.sum += value
+        self._pending.append(value)
+
+    def _fold(self) -> None:
+        """Fold the buffered observations into the histogram state."""
+        pending = self._pending
+        if pending:
+            self._pending = array("d")
+            for value in pending:
+                self._observe(value)
+
+    def _observe(self, value: float) -> None:
+        self._counts[bisect.bisect_left(self.bounds, value)] += 1
+        self._n += 1
+        self._sum += value
         if self._raw is not None:
-            if self.n <= self.RAW_SAMPLE_CAP:
+            if self._n <= self.RAW_SAMPLE_CAP:
                 self._raw.append(float(value))
             else:
                 # Handover: seed one P² estimator per tracked quantile
@@ -246,12 +267,29 @@ class Histogram:
                 est.add(float(value))
 
     @property
+    def counts(self) -> list[int]:
+        """Per-bucket counts (the last one is the overflow bucket)."""
+        self._fold()
+        return self._counts
+
+    @property
+    def n(self) -> int:
+        self._fold()
+        return self._n
+
+    @property
+    def sum(self) -> float:
+        self._fold()
+        return self._sum
+
+    @property
     def mean(self) -> float:
         return self.sum / self.n if self.n else 0.0
 
     @property
     def exact(self) -> bool:
         """Whether quantiles are still computed from raw samples."""
+        self._fold()
         return self._raw is not None
 
     def quantile(self, q: float) -> float:

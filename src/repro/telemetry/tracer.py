@@ -70,6 +70,48 @@ class TraceEventRecord:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
+# The tracer builds one record per span and event, so their construction
+# is its cost.  These constructors fill the slot descriptors directly and
+# build the same records as the keyword ``__init__``, without its
+# per-field ``object.__setattr__`` calls (a frozen dataclass's price).
+# The setters are bound as defaults so that each is a local lookup.
+_new = object.__new__
+_SPAN_SET = [SpanRecord.__dict__[f].__set__ for f in SpanRecord.__slots__]
+_EVENT_SET = [
+    TraceEventRecord.__dict__[f].__set__ for f in TraceEventRecord.__slots__
+]
+
+
+def _span_record(
+    name, cat, track, start, end, attrs,
+    _cls=SpanRecord, _name=_SPAN_SET[0], _cat=_SPAN_SET[1],
+    _track=_SPAN_SET[2], _start=_SPAN_SET[3], _end=_SPAN_SET[4],
+    _attrs=_SPAN_SET[5],
+) -> SpanRecord:
+    rec = _new(_cls)
+    _name(rec, name)
+    _cat(rec, cat)
+    _track(rec, track)
+    _start(rec, start)
+    _end(rec, end)
+    _attrs(rec, attrs)
+    return rec
+
+
+def _event_record(
+    name, cat, track, time, attrs,
+    _cls=TraceEventRecord, _name=_EVENT_SET[0], _cat=_EVENT_SET[1],
+    _track=_EVENT_SET[2], _time=_EVENT_SET[3], _attrs=_EVENT_SET[4],
+) -> TraceEventRecord:
+    rec = _new(_cls)
+    _name(rec, name)
+    _cat(rec, cat)
+    _track(rec, track)
+    _time(rec, time)
+    _attrs(rec, attrs)
+    return rec
+
+
 class Tracer:
     """Collects spans, events, and metrics for one run.
 
@@ -95,7 +137,9 @@ class Tracer:
         self.enabled = bool(enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans: list[SpanRecord] = []
-        self._pending_batches: list["Batch"] = []
+        #: One row of scalars per completed batch not yet materialised
+        #: into spans (see :meth:`record_batch_span`).
+        self._pending_rows: list[tuple] = []
         self.events: list[TraceEventRecord] = []
         self.meta: dict[str, Any] = {}
         #: The run's :class:`~repro.telemetry.timeseries.StateSampler`,
@@ -110,9 +154,9 @@ class Tracer:
 
     @property
     def spans(self) -> list[SpanRecord]:
-        """All recorded spans (materialising any queued batches first)."""
-        if self._pending_batches:
-            self._flush_batches()
+        """All recorded spans (materialising any queued batch rows first)."""
+        if self._pending_rows:
+            self._flush_rows()
         return self._spans
 
     # ------------------------------------------------------------------
@@ -135,10 +179,7 @@ class Tracer:
         if end < start:
             raise ValueError(f"span {name!r} ends before it starts")
         self._spans.append(
-            SpanRecord(
-                name=name, cat=cat, track=track,
-                start=float(start), end=float(end), attrs=attrs,
-            )
+            _span_record(name, cat, track, float(start), float(end), attrs)
         )
 
     def event(
@@ -153,11 +194,7 @@ class Tracer:
         """Record a point-in-time event (decisions, failures, leases)."""
         if not self.enabled:
             return
-        self.events.append(
-            TraceEventRecord(
-                name=name, cat=cat, track=track, time=float(time), attrs=attrs
-            )
-        )
+        self.events.append(_event_record(name, cat, track, float(time), attrs))
 
     # ------------------------------------------------------------------
     # High-level helpers
@@ -170,81 +207,84 @@ class Tracer:
         trace file can reproduce the collector's numbers independently.
 
         This is the highest-frequency hook in a traced run (once per
-        completed batch, inside the simulation loop), so it only enqueues
-        the batch here; the four span records per batch materialise
-        lazily on first access to :attr:`spans` — at export time, off the
-        hot path.  A batch is immutable once completed (the same contract
-        :class:`MetricsCollector` snapshots rely on).
+        completed batch, inside the simulation loop), so it only stores
+        one compact row of the batch's scalars here; the four span
+        records per batch materialise lazily on first access to
+        :attr:`spans` — at export time, off the hot path.  The row holds
+        no reference to the batch, so the tracer keeps no completed batch
+        alive.
         """
         if not self.enabled:
             return
         if batch.completed_at is None:
             raise ValueError(f"batch {batch.batch_id} has not completed")
-        self._pending_batches.append(batch)
-
-    def _flush_batches(self) -> None:
-        pending, self._pending_batches = self._pending_batches, []
-        for batch in pending:
-            self._materialise_batch(batch)
-
-    def _materialise_batch(self, batch: "Batch") -> None:
         bd = batch.breakdown
-        track = batch.hardware_name or "?"
-        first = batch.first_arrival
-        done = float(batch.completed_at)
-        started = batch.started_at if batch.started_at is not None else done
-        dispatched = min(batch.dispatched_at, done)
+        self._pending_rows.append((
+            batch.batch_id, batch.model.name, batch.size, batch.mode,
+            batch.hardware_name, batch.first_arrival, batch.completed_at,
+            batch.started_at, batch.dispatched_at, bd.batching_wait,
+            bd.cold_start_wait, bd.queue_delay, bd.exec_solo,
+            bd.interference_extra, bd.failure_wait, batch.retries,
+        ))
+
+    def _flush_rows(self) -> None:
+        rows, self._pending_rows = self._pending_rows, []
         append = self._spans.append
-        append(SpanRecord(
-            name=f"batch#{batch.batch_id}",
-            cat="request",
-            track=track,
-            start=first,
-            end=done,
-            attrs={
-                "batch_id": batch.batch_id,
-                "model": batch.model.name,
-                "n": batch.size,
-                "mode": batch.mode,
-                "hardware": track,
-                "dispatched_at": dispatched,
-                "started_at": started,
-                "batching_wait": bd.batching_wait,
-                "cold_start_wait": bd.cold_start_wait,
-                "queue_delay": bd.queue_delay,
-                "exec_solo": bd.exec_solo,
-                "interference_extra": bd.interference_extra,
-                "failure_wait": bd.failure_wait,
-                "retries": batch.retries,
-            },
-        ))
-        # Phase children: clamp to the parent interval so float slop in the
-        # accounting can never produce a negative-duration phase.
-        started = min(max(started, first), done)
-        dispatched = min(max(dispatched, first), started)
-        append(SpanRecord(
-            name="batching", cat="phase", track=track,
-            start=first, end=dispatched,
-            attrs={"batch_id": batch.batch_id},
-        ))
-        append(SpanRecord(
-            name="wait", cat="phase", track=track,
-            start=dispatched, end=started,
-            attrs={
-                "batch_id": batch.batch_id,
-                "cold_start_wait": bd.cold_start_wait,
-                "queue_delay": bd.queue_delay,
-            },
-        ))
-        append(SpanRecord(
-            name="execute", cat="phase", track=track,
-            start=started, end=done,
-            attrs={
-                "batch_id": batch.batch_id,
-                "exec_solo": bd.exec_solo,
-                "interference_extra": bd.interference_extra,
-            },
-        ))
+        span = _span_record
+        for (
+            batch_id, model, n, mode, hardware, first, completed_at,
+            started_at, dispatched_at, batching_wait, cold_start_wait,
+            queue_delay, exec_solo, interference_extra, failure_wait,
+            retries,
+        ) in rows:
+            track = hardware or "?"
+            done = float(completed_at)
+            started = started_at if started_at is not None else done
+            dispatched = min(dispatched_at, done)
+            append(span(
+                f"batch#{batch_id}", "request", track, first, done,
+                {
+                    "batch_id": batch_id,
+                    "model": model,
+                    "n": n,
+                    "mode": mode,
+                    "hardware": track,
+                    "dispatched_at": dispatched,
+                    "started_at": started,
+                    "batching_wait": batching_wait,
+                    "cold_start_wait": cold_start_wait,
+                    "queue_delay": queue_delay,
+                    "exec_solo": exec_solo,
+                    "interference_extra": interference_extra,
+                    "failure_wait": failure_wait,
+                    "retries": retries,
+                },
+            ))
+            # Phase children: clamp to the parent interval so float slop
+            # in the accounting can never produce a negative-duration
+            # phase.
+            started = min(max(started, first), done)
+            dispatched = min(max(dispatched, first), started)
+            append(span(
+                "batching", "phase", track, first, dispatched,
+                {"batch_id": batch_id},
+            ))
+            append(span(
+                "wait", "phase", track, dispatched, started,
+                {
+                    "batch_id": batch_id,
+                    "cold_start_wait": cold_start_wait,
+                    "queue_delay": queue_delay,
+                },
+            ))
+            append(span(
+                "execute", "phase", track, started, done,
+                {
+                    "batch_id": batch_id,
+                    "exec_solo": exec_solo,
+                    "interference_extra": interference_extra,
+                },
+            ))
 
     # ------------------------------------------------------------------
     # Views

@@ -7,6 +7,9 @@
   policy: the row-by-row Algorithm 1 scan and per-call solves;
 * :mod:`tests.oracles.reference_metrics` — the seed completion ledger:
   one ``BatchRecord`` per batch and Python loops for every summary.
+* :mod:`tests.oracles.reference_telemetry` — the eager telemetry sinks:
+  the per-observation latency histogram, the per-reader SLO window pass
+  and the one-probe-per-column node reads.
 
 The production tree has one policy code path; the golden suites
 (``tests/simulator/test_golden_*.py``,

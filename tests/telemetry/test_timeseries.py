@@ -35,6 +35,28 @@ class TestProbeRegistration:
         col = s.column("b")
         assert math.isnan(col[0]) and col[1] == 2.0
 
+    def test_probe_group_fills_its_columns_in_order(self):
+        s = StateSampler(1.0, capacity=4)
+        s.probe("a", lambda: 1.0)
+        s.probe_group(("b", "c"), lambda: (2.0, 3.0))
+        s.probe("d", lambda: 4.0)
+        row = s.sample(0.0)
+        assert s.probe_names() == ["a", "b", "c", "d"]
+        assert row == {"t": 0.0, "a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+        assert list(s.columns()) == ["a", "b", "c", "d"]
+
+    def test_probe_columns_must_be_unique(self):
+        s = StateSampler(1.0)
+        s.probe("a", lambda: 1.0)
+        with pytest.raises(ValueError):
+            s.probe_group(("a", "b"), lambda: (1.0, 2.0))
+        with pytest.raises(ValueError):
+            s.probe_group(("c", "c"), lambda: (1.0, 2.0))
+        s.probe_group(("b", "c"), lambda: (1.0, 2.0))
+        s.probe_group(("b", "c"), lambda: (3.0, 4.0))  # rebinding is fine
+        s.sample(0.0)
+        assert s.last("c") == 4.0
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             StateSampler(0.0)
@@ -84,6 +106,20 @@ class TestSampling:
         assert math.isnan(s.column("bad")[1])
         assert "gauge exploded" in s.meta["probe_errors"]["bad"]
         # The healthy probe keeps sampling.
+        np.testing.assert_array_equal(s.column("good"), [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "group", [lambda: 1 / 0, lambda: (1.0,)], ids=["raises", "short"]
+    )
+    def test_failing_probe_group_disables_every_column(self, group):
+        s = StateSampler(1.0, capacity=4)
+        s.probe_group(("x", "y"), group)
+        s.probe("good", lambda: 1.0)
+        s.sample(0.0)
+        s.sample(1.0)
+        for name in ("x", "y"):
+            assert np.isnan(s.column(name)).all()
+            assert name in s.meta["probe_errors"]
         np.testing.assert_array_equal(s.column("good"), [1.0, 1.0])
 
     def test_observer_receives_each_row(self):

@@ -21,7 +21,8 @@ MODULES = sorted(SRC.rglob("*.py"))
 #: Module names of the seed oracles, wherever they might be imported from.
 ORACLE_MODULES = {
     "oracles", "reference_simulator", "reference_model", "reference_policy",
-    "reference_metrics", "_reference", "_reference_model",
+    "reference_metrics", "reference_telemetry", "_reference",
+    "_reference_model",
 }
 
 
