@@ -63,6 +63,14 @@ from repro.workloads.traces import Trace
 
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
 
+#: Sim-time cadence of the metrics sampler (queue depths, container
+#: counts, GPU occupancy) and of the SLO and cost-budget monitors'
+#: evaluation.  Only a traced run schedules it.
+TELEMETRY_SAMPLE_INTERVAL_SECONDS = 1.0
+
+#: Container-pool counts read by the gauges and time-series probes.
+_POOL_STATES = ("warm_idle", "spawning", "busy", "waiting")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -95,10 +103,6 @@ class RunConfig:
         Inject SeBS background CPU load (Table III).
     sebs_invocation_rps:
         Aggregate rate of the co-located functions.
-    telemetry_sample_interval_seconds:
-        Cadence of the metrics sampler (queue depths, container counts,
-        GPU occupancy).  Only consulted when a tracer is enabled; a
-        disabled run schedules no sampler events at all.
     timeseries_interval_seconds:
         Cadence of the time-series :class:`~repro.telemetry.timeseries.
         StateSampler` (columnar state probes: rates, per-node occupancy,
@@ -109,10 +113,9 @@ class RunConfig:
         Sliding-window width of the live SLO burn-rate monitor
         (:class:`~repro.telemetry.slo_monitor.SLOMonitor`).  ``<= 0``
         disables the monitor entirely.  Like the sampler, the monitor
-        only exists when a tracer is enabled.
-    slo_burn_rate_threshold:
-        Windowed burn rate (violation rate / error budget) at which the
-        monitor emits a ``slo_alert`` event.
+        only exists when a tracer is enabled.  It emits a ``slo_alert``
+        event when a window's burn rate (violation rate / error budget)
+        reaches 2.0.
     cost_meter:
         Itemize lease dollars into busy/cold-start/idle/reconfiguration
         buckets with per-request pro-rata attribution
@@ -124,10 +127,7 @@ class RunConfig:
         burn rate projects the end-of-run spend past it, the
         :class:`~repro.telemetry.costmeter.CostBudgetMonitor` emits an
         edge-triggered ``budget_alert`` event.  ``None`` disables
-        alerting (burn rate is still sampled).
-    cost_budget_window_seconds:
-        Sliding-window width of the burn-rate estimate; ``<= 0``
-        disables the budget monitor entirely.
+        alerting (burn rate is still sampled, over a 30 s window).
     reqtrace:
         Record a per-request causal trace
         (:class:`~repro.telemetry.reqtrace.RequestTracer`): phase
@@ -137,11 +137,9 @@ class RunConfig:
         ``is None`` branch per hook site and stay bit-identical.
     reqtrace_sample:
         Fraction of batches retained in full (deterministic splitmix64
-        over ``(seed, batch_id)``); the ``reqtrace_tail_k`` worst
-        batches by first-arrival latency are always kept on top, so
-        worst-K forensics stay exact under sampling.
-    reqtrace_tail_k:
-        Size of the always-kept tail reservoir (0 disables it).
+        over ``(seed, batch_id)``); the 64 worst batches by
+        first-arrival latency are always kept on top, so worst-K
+        forensics stay exact under sampling.
     """
 
     batch_window_seconds: float = 0.075
@@ -154,16 +152,12 @@ class RunConfig:
     resilience: Optional[ResilienceConfig] = None
     sebs_colocation: bool = False
     sebs_invocation_rps: float = 4.0
-    telemetry_sample_interval_seconds: float = 1.0
     timeseries_interval_seconds: float = 0.5
     slo_monitor_window_seconds: float = 30.0
-    slo_burn_rate_threshold: float = 2.0
     cost_meter: bool = True
     cost_budget_dollars: Optional[float] = None
-    cost_budget_window_seconds: float = 30.0
     reqtrace: bool = False
     reqtrace_sample: float = 1.0
-    reqtrace_tail_k: int = 64
     seed: int = 0
 
 
@@ -399,10 +393,8 @@ class ServerlessRun:
             with prof.phase("run"):
                 with prof.phase("setup"):
                     self._setup()
-                if prof.engine_sites and self.sim._profiler is None:
-                    # Callback sites become frames inside the tree; a
-                    # pre-attached dispatch profiler keeps the engine.
-                    self.sim.set_profiler(prof)
+                # Callback sites become cb: frames inside the tree.
+                self.sim.set_profiler(prof)
                 with prof.phase("engine"):
                     self.sim.run(until=horizon)
                 with prof.phase("finalize"):
@@ -508,25 +500,15 @@ class ServerlessRun:
         )
         reg = self.tracer.metrics
         self._latency_histogram = reg.histogram("request.latency_seconds")
-
-        def current(attr_fn, default=0.0):
-            def read():
-                node = self._current
-                if node is None or not node.available:
-                    return default
-                return attr_fn(node)
-            return read
+        current = lambda fn: self._on_current(fn, 0.0)
 
         reg.gauge(
             "queue.device_requests",
             current(lambda n: n.device.queued_requests()),
         )
         reg.gauge("queue.pending_windows", lambda: len(self._pending_windows))
-        pool = lambda n: n.pool(self.model.name)
-        reg.gauge("containers.warm_idle", current(lambda n: pool(n).n_warm_idle))
-        reg.gauge("containers.spawning", current(lambda n: pool(n).n_spawning))
-        reg.gauge("containers.busy", current(lambda n: pool(n).n_busy))
-        reg.gauge("containers.waiting", current(lambda n: pool(n).n_waiting))
+        for state in _POOL_STATES:
+            reg.gauge(f"containers.{state}", self._on_pool(state, 0.0))
         reg.gauge(
             "jobs.active_spatial",
             current(lambda n: getattr(n.device, "n_active_spatial", 0)),
@@ -565,7 +547,6 @@ class ServerlessRun:
                 tracer=self.tracer,
                 window_seconds=self.config.slo_monitor_window_seconds,
                 compliance_goal=self.slo.compliance_goal,
-                burn_rate_threshold=self.config.slo_burn_rate_threshold,
             )
         if self.config.cost_meter:
             # _setup_telemetry runs before the initial acquire, so the
@@ -575,16 +556,14 @@ class ServerlessRun:
             if self.cluster.costmeter is None:
                 self.cluster.costmeter = CostMeter()
             self.costmeter = self.cluster.costmeter
-            if self.config.cost_budget_window_seconds > 0:
-                self.cost_monitor = CostBudgetMonitor(
-                    self.costmeter,
-                    tracer=self.tracer,
-                    budget_dollars=self.config.cost_budget_dollars,
-                    window_seconds=self.config.cost_budget_window_seconds,
-                    horizon_seconds=(
-                        self.trace.duration + self.config.drain_grace_seconds
-                    ),
-                )
+            self.cost_monitor = CostBudgetMonitor(
+                self.costmeter,
+                tracer=self.tracer,
+                budget_dollars=self.config.cost_budget_dollars,
+                horizon_seconds=(
+                    self.trace.duration + self.config.drain_grace_seconds
+                ),
+            )
         if self.config.reqtrace:
             # Like the cost meter: _setup_telemetry runs before the
             # initial acquire, so the tracer sees every lease.  In a
@@ -594,7 +573,6 @@ class ServerlessRun:
             if self.cluster.reqtrace is None:
                 self.cluster.reqtrace = RequestTracer(
                     sample=self.config.reqtrace_sample,
-                    tail_k=self.config.reqtrace_tail_k,
                     seed=self.config.seed,
                 )
             self.reqtrace = self.cluster.reqtrace
@@ -603,13 +581,10 @@ class ServerlessRun:
             )
             if self.resilience is not None:
                 self.resilience.reqtrace = self.reqtrace
-            self.sim.add_run_end_hook(self.reqtrace.on_run_end)
         if self.config.timeseries_interval_seconds > 0:
             self._setup_timeseries()
         self.sim.schedule(
-            self.config.telemetry_sample_interval_seconds,
-            self._telemetry_tick,
-            priority=90,
+            TELEMETRY_SAMPLE_INTERVAL_SECONDS, self._telemetry_tick, priority=90
         )
 
     def _setup_timeseries(self) -> None:
@@ -657,27 +632,17 @@ class ServerlessRun:
         sampler.probe("hw.selected", hw_selected)
 
         # Backlog shape.
-        def on_current(fn, default=math.nan):
-            def read() -> float:
-                node = self._current
-                if node is None or not node.available:
-                    return default
-                return float(fn(node))
-            return read
-
         sampler.probe(
-            "queue.device", on_current(lambda n: n.device.queued_requests())
+            "queue.device",
+            self._on_current(lambda n: n.device.queued_requests(), math.nan),
         )
         sampler.probe(
             "queue.pending_windows", lambda: float(len(self._pending_windows))
         )
 
         # Container pool (warm/cold) on the serving node.
-        pool_of = lambda n: n.pool(self.model.name)
-        sampler.probe("pool.warm_idle", on_current(lambda n: pool_of(n).n_warm_idle))
-        sampler.probe("pool.spawning", on_current(lambda n: pool_of(n).n_spawning))
-        sampler.probe("pool.busy", on_current(lambda n: pool_of(n).n_busy))
-        sampler.probe("pool.waiting", on_current(lambda n: pool_of(n).n_waiting))
+        for state in _POOL_STATES:
+            sampler.probe(f"pool.{state}", self._on_pool(state, math.nan))
         sampler.probe(
             "autoscaler.predicted_rps", lambda: self.autoscaler.last_prediction
         )
@@ -785,6 +750,27 @@ class ServerlessRun:
         self.sampler = sampler
         self.tracer.timeseries = sampler
 
+    def _on_current(self, fn, default: float):
+        """A reader of ``fn(node)`` on the serving node that returns
+        ``default`` while no node is serving (before the first lease and
+        during failover): 0.0 for metric gauges, NaN for time-series
+        probes."""
+
+        def read() -> float:
+            node = self._current
+            if node is None or not node.available:
+                return default
+            return float(fn(node))
+
+        return read
+
+    def _on_pool(self, state: str, default: float):
+        """:meth:`_on_current` for the ``n_<state>`` count of this
+        model's container pool."""
+        attr = "n_" + state
+        name = self.model.name
+        return self._on_current(lambda n: getattr(n.pool(name), attr), default)
+
     def _telemetry_tick(self) -> None:
         now = self.sim.now
         prof = self.selfprof
@@ -807,7 +793,7 @@ class ServerlessRun:
                 prof.pop()
         if now < self.trace.duration + self.config.drain_grace_seconds:
             self.sim.schedule(
-                self.config.telemetry_sample_interval_seconds,
+                TELEMETRY_SAMPLE_INTERVAL_SECONDS,
                 self._telemetry_tick,
                 priority=90,
             )
@@ -984,14 +970,18 @@ class ServerlessRun:
         if recovery == "retry":
             self._plan_retry(batch)
         elif recovery == "drop":
-            self.requests_dropped += batch.size
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_drop(batch.batch_id, self.sim.now, batch.size)
+            self._drop(batch)
         else:  # requeue (legacy): back into the pending queue
             self._pending_windows.append(
                 DispatchWindow(dispatch_at=self.sim.now, arrivals=batch.arrivals)
             )
+
+    def _drop(self, batch: Batch) -> None:
+        """Lose a batch under ``recovery="drop"``: count it and trace it."""
+        self.requests_dropped += batch.size
+        rt = self.reqtrace
+        if rt is not None:
+            rt.on_drop(batch.batch_id, self.sim.now, batch.size)
 
     def _submit(self, batch: Batch, node: NodeInstance, pool) -> None:
         spec = node.spec
@@ -1312,7 +1302,8 @@ class ServerlessRun:
             for job in evicted:
                 self._plan_retry(job.batch)
         elif recovery == "drop":
-            self.requests_dropped += sum(j.batch.size for j in evicted)
+            for job in evicted:
+                self._drop(job.batch)
         else:
             # Requeue (legacy): evicted requests go back into the pending
             # queue, arrivals intact, merged into one window.
@@ -1537,7 +1528,7 @@ class ServerlessRun:
         reqtrace_data = None
         rt = self.reqtrace
         if rt is not None:
-            rt.on_run_end(now)  # idempotent with the engine run-end hook
+            rt.on_run_end(now)
             reqtrace_data = rt.data()
         budget_alerts = (
             self.cost_monitor.alerts_emitted

@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from time import perf_counter
 from typing import Callable, Optional, Protocol
 
 __all__ = [
@@ -56,17 +55,17 @@ _INF = math.inf
 
 class DispatchProfiler(Protocol):
     """What the engine needs from a profiler (see
-    :class:`repro.telemetry.profiling.EngineProfiler`).  The engine only
-    duck-types this so the hot loop stays import-free of the telemetry
-    package.
+    :class:`repro.telemetry.selfprof.RunProfiler`).  The engine brackets
+    each dispatch with ``push_site(fn)`` / ``pop()``: the site is entered
+    *before* the callback runs, so phases recorded inside it nest under
+    the site frame, and the profiler does its own timing.  A protocol,
+    not a base class, so the hot loop stays import-free of the telemetry
+    package."""
 
-    A profiler may additionally expose ``push_site(fn)`` / ``pop()``
-    (see :class:`repro.telemetry.selfprof.RunProfiler`): the engine then
-    brackets each dispatch hierarchically — entered *before* the
-    callback runs, so phases recorded inside it nest under the site
-    frame — instead of the flat post-hoc ``record`` accounting."""
+    def push_site(self, fn: Callable[[], None]) -> None:
+        ...  # pragma: no cover - protocol stub
 
-    def record(self, fn: Callable[[], None], seconds: float) -> None:
+    def pop(self) -> None:
         ...  # pragma: no cover - protocol stub
 
 
@@ -162,10 +161,9 @@ class Simulator:
         Initial clock value in seconds (default 0.0).
     profiler:
         Optional :class:`DispatchProfiler` (keyword-only).  When attached,
-        every dispatched callback is timed with ``perf_counter`` and
-        credited to its callback site; when absent the hot loop pays no
-        per-event check — :meth:`run` selects the unprofiled loop body
-        once at entry.
+        every dispatched callback is bracketed by its ``push_site`` /
+        ``pop``; when absent the hot loop pays no per-event check —
+        :meth:`run` selects the unprofiled loop body once at entry.
 
     Examples
     --------
@@ -190,11 +188,6 @@ class Simulator:
         self._stopped = False
         self.n_dispatched = 0
         self._profiler = profiler
-        #: Zero-cost observation hooks fired once per :meth:`run` after
-        #: the horizon clamp (telemetry close-outs, e.g. the request
-        #: tracer recording the final clock).  Not touched by the hot
-        #: loop; :meth:`step` never fires them.
-        self._run_end_hooks: list[Callable[[float], None]] = []
 
     def set_profiler(self, profiler: Optional[DispatchProfiler]) -> None:
         """Attach (or detach, with ``None``) a dispatch profiler.
@@ -203,13 +196,6 @@ class Simulator:
         from *inside* a running callback takes effect on the next run.
         """
         self._profiler = profiler
-
-    def add_run_end_hook(self, fn: Callable[[float], None]) -> None:
-        """Call ``fn(now)`` when a :meth:`run` completes (after the
-        horizon clamp).  Costs nothing per event — the list is only
-        walked once per run — so telemetry can observe the final clock
-        without polluting the hot loop."""
-        self._run_end_hooks.append(fn)
 
     # ------------------------------------------------------------------
     # Clock
@@ -326,15 +312,9 @@ class Simulator:
             if prof is None:
                 fn()
             else:
-                push_site = getattr(prof, "push_site", None)
-                if push_site is not None:
-                    push_site(fn)
-                    fn()
-                    prof.pop()
-                else:
-                    t0 = perf_counter()
-                    fn()
-                    prof.record(fn, perf_counter() - t0)
+                prof.push_site(fn)
+                fn()
+                prof.pop()
             return True
         return False
 
@@ -372,10 +352,11 @@ class Simulator:
                     self._now = entry[0]
                     n += 1
                     fn()
-            elif (push_site := getattr(prof, "push_site", None)) is not None:
-                # Hierarchical profiler: the site frame is entered before
-                # the callback so phases recorded inside it nest under
-                # it; the profiler does its own timing on push/pop.
+            else:
+                # The site frame is entered before the callback so phases
+                # recorded inside it nest under it; the profiler does its
+                # own timing on push/pop.
+                push_site = prof.push_site
                 prof_pop = prof.pop
                 while heap and not self._stopped:
                     entry = heap[0]
@@ -391,25 +372,8 @@ class Simulator:
                     push_site(fn)
                     fn()
                     prof_pop()
-            else:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    fn = entry[3]
-                    if fn is None:
-                        pop(heap)
-                        continue
-                    if entry[0] > limit:
-                        break
-                    pop(heap)
-                    self._now = entry[0]
-                    n += 1
-                    t0 = perf_counter()
-                    fn()
-                    prof.record(fn, perf_counter() - t0)
             if until is not None and self._now < until:
                 self._now = float(until)
-            for hook in self._run_end_hooks:
-                hook(self._now)
         finally:
             # n_dispatched is maintained in a local and written back here
             # (including on callback exceptions); nothing in the tree reads

@@ -30,11 +30,10 @@ request's latency actually went.  This package records the path taken:
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
   forensics in :mod:`repro.analysis.request_forensics`.
-* :class:`~repro.telemetry.profiling.EngineProfiler` — per-callback-site
-  wall-clock profiling of the discrete-event hot loop.
 * :class:`~repro.telemetry.selfprof.RunProfiler` — hierarchical
   wall-clock attribution of the reproduction itself (phase tree with
-  flamegraph/speedscope export, see ``docs/PERFORMANCE.md``).
+  flamegraph/speedscope export, see ``docs/PERFORMANCE.md``); each
+  discrete-event callback site is a ``cb:`` frame in the tree.
 
 Everything is **zero-overhead when disabled**: the shared
 :data:`NULL_TRACER` singleton short-circuits on a single attribute check,
@@ -62,7 +61,6 @@ from repro.telemetry.costmeter import (
     LeaseCost,
     ModelSpecCost,
 )
-from repro.telemetry.profiling import EngineProfiler
 from repro.telemetry.reqtrace import (
     PHASES,
     REQTRACE_SCHEMA,
@@ -103,7 +101,6 @@ __all__ = [
     "CostBudgetMonitor",
     "CostMeter",
     "Counter",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "LeaseCost",

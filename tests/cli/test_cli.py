@@ -132,7 +132,12 @@ class TestTelemetryFlags:
         )
         assert args.trace_out == "x.jsonl"
         assert args.chrome_trace is None
-        assert args.profile_engine is False
+
+    def test_profile_engine_flag_is_rejected(self, capsys):
+        # Engine callback sites are the cb: frames of --self-profile.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "resnet50", "--profile-engine"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_verbose_flag_on_subcommand(self):
         assert build_parser().parse_args(["list", "-v"]).verbose is True
@@ -170,15 +175,6 @@ class TestTelemetryFlags:
         bad.write_text("not json\n")
         assert main(["trace-report", str(bad)]) == 1
         assert "not a valid trace file" in capsys.readouterr().out
-
-    def test_profile_engine_prints_sites(self, capsys):
-        assert main([
-            "run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--profile-engine",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "engine profile" in out
-        assert "dispatches" in out
 
     def test_prom_out_writes_snapshot(self, capsys, tmp_path):
         prom = tmp_path / "run.prom"

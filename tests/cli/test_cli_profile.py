@@ -124,6 +124,8 @@ class TestRunSelfProfile:
         out = capsys.readouterr().out
         assert "run result" in out
         assert "self-profile:" in out
+        # Engine callback sites are frames of the tree.
+        assert "cb:framework.system" in out
 
     def test_ledger_records_top_phase(self, capsys, tmp_path):
         db = str(tmp_path / "ledger.sqlite")

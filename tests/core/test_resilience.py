@@ -14,10 +14,11 @@ from repro.experiments.schemes import make_policy
 from repro.framework.slo import SLO
 from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
+from repro.simulator.chaos import ChaosSpec, OOMKills, StochasticCrashes
 from repro.telemetry import Tracer
 from repro.telemetry.prometheus import to_prometheus_text
 from repro.workloads.models import get_model
-from repro.workloads.traces import azure_trace
+from repro.workloads.traces import azure_trace, poisson_trace
 
 
 class TestPolicyValidation:
@@ -288,3 +289,25 @@ class TestFaultedRunAcceptance:
             "repro_resilience_breakers_open",
         ):
             assert gauge in text
+
+
+def test_every_dropped_request_is_in_the_request_trace():
+    """Under drop recovery, both loss sites (a crashed node's evicted
+    batches and an OOM-killed batch) record a reqtrace ``drop`` event,
+    so the events' ``n`` sum to ``RunResult.requests_dropped``."""
+    model = get_model("resnet50")
+    profiles = ProfileService()
+    slo = SLO()
+    trace = poisson_trace(rate_rps=model.peak_rps, duration=300.0, seed=0)
+    policy = make_policy("paldia", model, profiles, slo.target_seconds, trace)
+    config = RunConfig(
+        chaos=ChaosSpec(faults=(StochasticCrashes(), OOMKills()), seed=1),
+        resilience=ResilienceConfig(recovery="drop"),
+        reqtrace=True,
+    )
+    result = ServerlessRun(
+        model, trace, policy, profiles, slo, config, tracer=Tracer()
+    ).execute()
+    drops = [e for e in result.reqtrace.events if e["kind"] == "drop"]
+    assert result.requests_dropped > 0
+    assert sum(e["n"] for e in drops) == result.requests_dropped

@@ -26,7 +26,10 @@ from repro.telemetry import NULL_TRACER, Tracer
 class TestSimulatorKeywordOnly:
     def test_positional_profiler_is_typeerror(self):
         class Prof:
-            def record(self, fn, seconds):
+            def push_site(self, fn):
+                pass
+
+            def pop(self):
                 pass
 
         with pytest.raises(TypeError):
@@ -37,8 +40,11 @@ class TestSimulatorKeywordOnly:
             def __init__(self):
                 self.n = 0
 
-            def record(self, fn, seconds):
+            def push_site(self, fn):
                 self.n += 1
+
+            def pop(self):
+                pass
 
         prof = Prof()
         with warnings.catch_warnings():

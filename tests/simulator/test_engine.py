@@ -177,24 +177,39 @@ class TestEdgeCases:
 
 
 class _Recorder:
-    """Minimal DispatchProfiler: remembers every (fn, seconds) pair."""
+    """Minimal DispatchProfiler: remembers every bracketed callback and
+    checks each ``push_site`` is closed by a ``pop``."""
 
     def __init__(self):
         self.calls = []
+        self.depth = 0
 
-    def record(self, fn, seconds):
-        self.calls.append((fn, seconds))
+    def push_site(self, fn):
+        assert self.depth == 0, "push_site before the previous pop"
+        self.depth += 1
+        self.calls.append(fn)
+
+    def pop(self):
+        self.depth -= 1
 
 
 class TestProfilerHook:
+    """The dispatch-profiler contract, with the engine driven by
+    ``run()``; :class:`TestProfilerHookStep` drives the same tests by
+    ``step()``."""
+
+    @staticmethod
+    def drain(sim):
+        sim.run()
+
     def test_profiler_sees_every_dispatch(self):
         prof = _Recorder()
         sim = Simulator(profiler=prof)
         for i in range(3):
             sim.schedule(i + 1.0, lambda: None)
-        sim.run()
+        self.drain(sim)
         assert len(prof.calls) == 3
-        assert all(seconds >= 0.0 for _, seconds in prof.calls)
+        assert prof.depth == 0
 
     def test_profiler_never_sees_cancelled_events(self):
         prof = _Recorder()
@@ -202,7 +217,7 @@ class TestProfilerHook:
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         ev.cancel()
-        sim.run()
+        self.drain(sim)
         assert len(prof.calls) == 1
 
     def test_profiler_receives_the_callback_itself(self):
@@ -213,17 +228,17 @@ class TestProfilerHook:
             pass
 
         sim.schedule(1.0, callback)
-        sim.run()
-        assert prof.calls[0][0] is callback
+        self.drain(sim)
+        assert prof.calls == [callback]
 
     def test_set_profiler_attach_and_detach(self, sim):
         prof = _Recorder()
         sim.set_profiler(prof)
         sim.schedule(1.0, lambda: None)
-        sim.run()
+        self.drain(sim)
         sim.set_profiler(None)
         sim.schedule(1.0, lambda: None)
-        sim.run()
+        self.drain(sim)
         assert len(prof.calls) == 1
 
     def test_unprofiled_run_unaffected(self):
@@ -231,8 +246,15 @@ class TestProfilerHook:
         fired = []
         sim = Simulator()
         sim.schedule(1.0, lambda: fired.append(sim.now))
-        sim.run()
+        self.drain(sim)
         assert fired == [1.0] and sim.n_dispatched == 1
+
+
+class TestProfilerHookStep(TestProfilerHook):
+    @staticmethod
+    def drain(sim):
+        while sim.step():
+            pass
 
 
 class TestRunUntil:

@@ -27,11 +27,21 @@ from tests.oracles.reference_simulator import ReferenceSimulator
 
 
 class Recorder:
-    """Dispatch profiler that notes the clock at every dispatched event."""
+    """Dispatch profiler that notes the clock at every dispatched event.
+
+    The engine calls ``push_site``/``pop`` around each dispatch; the
+    seed engine calls ``record`` after it.  Either way the clock is the
+    event's time."""
 
     def __init__(self, sim):
         self.sim = sim
         self.times = []
+
+    def push_site(self, fn):
+        self.times.append(self.sim.now)
+
+    def pop(self):
+        pass
 
     def record(self, fn, seconds):
         self.times.append(self.sim.now)

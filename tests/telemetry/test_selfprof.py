@@ -160,19 +160,6 @@ class TestEngineIntegration:
         # The phase entered during the callback nests under the site.
         assert "select.choose_best_HW" in site.children
 
-    def test_record_fallback_is_flat(self, clock):
-        # Engines that predate push_site call record(fn, dt) post hoc.
-        prof = RunProfiler()
-
-        def cb():
-            pass
-
-        prof.record(cb, 0.5)
-        prof.record(cb, 0.5)
-        (name,) = prof.root.children
-        assert prof.root.children[name].seconds == pytest.approx(1.0)
-        assert prof.root.children[name].count == 2
-
 
 class TestSubsystems:
     def test_subsystem_of_phases(self):
@@ -416,14 +403,6 @@ class TestServerlessRunIntegration:
         assert prof.total_seconds == pytest.approx(
             result.wall_seconds, rel=0.10
         )
-
-    def test_engine_sites_off_keeps_engine_flat(self):
-        _result, prof = self.run_profiled(engine_sites=False)
-        engine = prof.root.children["run"].children["engine"]
-        assert not any(n.startswith("cb:") for n in engine.children)
-        # Phases are still recorded, now directly under "engine".
-        names = {f.name for f in prof.walk()}
-        assert "arrivals.window" in names
 
     def test_unprofiled_result_has_wall_seconds(self):
         model = get_model("resnet50")
