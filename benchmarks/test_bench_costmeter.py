@@ -8,10 +8,10 @@ Two contracts from the cost-observability PR:
   RunResult.total_cost`` to 1e-9 relative.  The line sweep assigns each
   instant of every lease to exactly one bucket, so this single identity
   is the whole "no dollar lost, no dollar double-counted" claim.
-* **Zero disabled cost** — an untraced run (``Tracer`` absent) or a
-  traced run with ``RunConfig(cost_meter=False)`` constructs no
-  ``CostMeter``, executes no code from the ``costmeter`` module, and
-  produces bit-identical results.  Gated on *work executed*
+* **Zero disabled cost** — an untraced run (``Tracer`` absent)
+  constructs no ``CostMeter``, executes no code from the ``costmeter``
+  module, and produces bit-identical results.  (The meter is on
+  whenever the tracer is.)  Gated on *work executed*
   (deterministic call counts via ``sys.setprofile``), the same way the
   self-profiler's disabled path is gated in ``test_bench_selfprof.py``.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.experiments.schemes import make_policy
 from repro.framework.slo import SLO
-from repro.framework.system import RunConfig, ServerlessRun
+from repro.framework.system import ServerlessRun
 from repro.hardware.profiles import ProfileService
 from repro.telemetry import Tracer
 from repro.telemetry.costmeter import CostMeter
@@ -33,16 +33,13 @@ from repro.workloads.traces import poisson_trace
 DURATION = 60.0
 
 
-def run_once(tracer=None, config=None):
+def run_once(tracer=None):
     model = get_model("resnet50")
     profiles = ProfileService()
     slo = SLO()
     trace = poisson_trace(rate_rps=model.peak_rps, duration=DURATION, seed=0)
     policy = make_policy("paldia", model, profiles, slo.target_seconds, trace)
-    run = ServerlessRun(
-        model, trace, policy, profiles, slo,
-        tracer=tracer, config=config,
-    )
+    run = ServerlessRun(model, trace, policy, profiles, slo, tracer=tracer)
     return run.execute(), run
 
 
@@ -111,23 +108,6 @@ def test_untraced_run_executes_no_costmeter_code():
           f"CostMeter constructions: {constructions}")
     assert constructions == 0
     assert meter_calls == 0
-
-
-def test_traced_run_with_meter_disabled_executes_no_costmeter_code():
-    # cost_meter=False must disable the meter even on traced runs —
-    # the rest of the telemetry pillar (spans, samples) stays on.
-    run_once()  # warm-up
-    import repro.telemetry.costmeter as costmeter_module
-
-    config = RunConfig(cost_meter=False)
-    meter_calls = count_calls_into(
-        lambda: run_once(tracer=Tracer(), config=config),
-        costmeter_module.__file__,
-    )
-    print(f"\ncostmeter-module calls with cost_meter=False: {meter_calls}")
-    assert meter_calls == 0
-    result, _ = run_once(tracer=Tracer(), config=config)
-    assert result.cost_breakdown is None
 
 
 def test_metered_run_is_bit_identical():

@@ -7,11 +7,17 @@ Two contracts from the observability PR:
 * the disabled tracer adds no measurable overhead to the engine hot
   loop — the ``tracer.enabled`` guard is the entire disabled-path cost.
 
-Both are best-of-N ``perf_counter`` comparisons rather than
-pytest-benchmark fixtures: ratio assertions need paired timings from the
-same process and moment, not calibrated statistics.
+The wall-clock gates are medians of per-round ``perf_counter`` ratios
+over interleaved rounds rather than pytest-benchmark fixtures: ratio
+assertions need paired timings from the same process and moment, not
+calibrated statistics.  One run of the workload takes well under a
+second, so a single pair of timings (or the ratio of two best-of-N
+minima, each possibly taken at a differently loaded moment) reads
+anywhere from 0.85 to 1.5 on a shared 2-vCPU box; the median of 11
+paired rounds is what a gate can compare with its bound.
 """
 
+import statistics
 import sys
 from time import perf_counter
 
@@ -27,7 +33,7 @@ from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
 
 DURATION = 60.0
-ROUNDS = 5
+ROUNDS = 11
 
 
 def run_once(tracer, config=None):
@@ -42,35 +48,42 @@ def run_once(tracer, config=None):
     return run.execute()
 
 
-def best_of(fn, rounds=ROUNDS):
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = perf_counter()
-        fn()
-        best = min(best, perf_counter() - t0)
-    return best
+def timed(fn) -> float:
+    t0 = perf_counter()
+    fn()
+    return perf_counter() - t0
 
 
-def best_of_paired(fn_a, fn_b, rounds=ROUNDS):
-    """Best-of-N with the two variants interleaved round by round, so
-    machine drift (thermal, page cache, a noisy neighbour) hits both."""
-    best_a = best_b = float("inf")
+def median_paired_ratio(label, fn_a, fn_b, rounds=ROUNDS):
+    """Median over ``rounds`` of the per-round ratio ``time(fn_b) /
+    time(fn_a)``.
+
+    Each round times ``a, b, b, a`` back to back, so machine drift
+    (thermal, page cache, a noisy neighbour) hits both variants alike
+    and so does any cost of running first or second in a pair (the
+    engine loop's first run after a switch reads ~1.3x its second).  The
+    median ignores the rounds a burst of load spoiled.  Every ratio is
+    printed.
+    """
     fn_a()  # shared warm-up: imports, profile tables, allocator pools
+    ratios = []
     for _ in range(rounds):
-        t0 = perf_counter()
-        fn_a()
-        best_a = min(best_a, perf_counter() - t0)
-        t0 = perf_counter()
-        fn_b()
-        best_b = min(best_b, perf_counter() - t0)
-    return best_a, best_b
+        t_a = timed(fn_a)
+        t_b = timed(fn_b) + timed(fn_b)
+        t_a += timed(fn_a)
+        ratios.append(t_b / t_a)
+    ratio = statistics.median(ratios)
+    print(f"\n{label}: median ratio {ratio:.3f} over {rounds} rounds ("
+          + " ".join(f"{r:.3f}" for r in ratios) + ")")
+    return ratio
 
 
 def test_traced_run_within_10_percent():
     # Tracing proper: spans + decision events + metric sampling.  The SLO
     # monitor and the time-series sampler are separate subsystems with
     # their own budget tests below.
-    untraced, traced = best_of_paired(
+    ratio = median_paired_ratio(
+        "traced / untraced",
         lambda: run_once(None),
         lambda: run_once(
             Tracer(),
@@ -80,9 +93,6 @@ def test_traced_run_within_10_percent():
             ),
         ),
     )
-    ratio = traced / untraced
-    print(f"\nuntraced {untraced * 1e3:.1f} ms, traced {traced * 1e3:.1f} ms, "
-          f"ratio {ratio:.3f}")
     assert ratio <= 1.10, (
         f"tracing overhead {100 * (ratio - 1):.1f}% exceeds the 10% budget"
     )
@@ -107,11 +117,11 @@ def test_disabled_tracer_adds_no_engine_overhead():
     class Bare:
         enabled = False
 
-    baseline = best_of(lambda: loop(Bare()), rounds=5)
-    disabled = best_of(lambda: loop(NULL_TRACER), rounds=5)
-    ratio = disabled / baseline
-    print(f"\nbare {baseline * 1e3:.1f} ms, NULL_TRACER {disabled * 1e3:.1f} ms, "
-          f"ratio {ratio:.3f}")
+    ratio = median_paired_ratio(
+        "NULL_TRACER / bare",
+        lambda: loop(Bare()),
+        lambda: loop(NULL_TRACER),
+    )
     # "No measurable overhead": identical code shape, so only scheduler
     # noise separates them.  5% absorbs timer jitter on a shared box.
     assert ratio <= 1.05
@@ -147,7 +157,8 @@ def test_slo_monitor_overhead_within_budget():
     # The monitor rides the existing telemetry tick with O(1) running
     # totals per window (p99 only on alert transitions); same 10% budget
     # as tracing itself.
-    without, with_monitor = best_of_paired(
+    ratio = median_paired_ratio(
+        "monitor on / off",
         lambda: run_once(
             Tracer(),
             config=RunConfig(
@@ -159,9 +170,6 @@ def test_slo_monitor_overhead_within_budget():
             Tracer(), config=RunConfig(timeseries_interval_seconds=0.0)
         ),
     )
-    ratio = with_monitor / without
-    print(f"\nmonitor off {without * 1e3:.1f} ms, on "
-          f"{with_monitor * 1e3:.1f} ms, ratio {ratio:.3f}")
     assert ratio <= 1.10
 
 
@@ -201,16 +209,15 @@ def test_sampler_disabled_costs_under_one_percent():
     )
     calls_baseline = count_calls(lambda: run_once(None))
     call_ratio = calls_off / calls_baseline
-    sampling_off, baseline = best_of_paired(
+    wall_ratio = median_paired_ratio(
+        "sampler-off / untraced",
+        lambda: run_once(None),  # default config: untraced, no sampler
         lambda: run_once(
             None, config=RunConfig(timeseries_interval_seconds=0.0)
         ),
-        lambda: run_once(None),  # default config: untraced, no sampler
     )
-    wall_ratio = sampling_off / baseline
-    print(f"\nsampler-off {calls_off} calls vs untraced {calls_baseline} "
-          f"({100 * (call_ratio - 1):+.3f}%); wall {sampling_off * 1e3:.1f}"
-          f" ms vs {baseline * 1e3:.1f} ms, ratio {wall_ratio:.3f}")
+    print(f"sampler-off {calls_off} calls vs untraced {calls_baseline} "
+          f"({100 * (call_ratio - 1):+.3f}%)")
     assert call_ratio <= 1.01, (
         f"disabled sampler executes {100 * (call_ratio - 1):.2f}% more "
         f"calls, budget is 1%"
@@ -222,15 +229,13 @@ def test_sampler_enabled_overhead_within_budget():
     # Sampling on (default 0.5 s interval, ~28 probes) vs the same traced
     # run with sampling off: one event per interval plus one float store
     # per column.  Rides the same 10% budget as the other subsystems.
-    off, on = best_of_paired(
+    ratio = median_paired_ratio(
+        "sampling on / off",
         lambda: run_once(
             Tracer(), config=RunConfig(timeseries_interval_seconds=0.0)
         ),
         lambda: run_once(Tracer()),
     )
-    ratio = on / off
-    print(f"\nsampling off {off * 1e3:.1f} ms, on {on * 1e3:.1f} ms, "
-          f"ratio {ratio:.3f}")
     assert ratio <= 1.10
 
 

@@ -693,23 +693,20 @@ def _cmd_run(args) -> int:
                 "(open in https://ui.perfetto.dev)"
             )
         if args.prom_out:
-            n = write_prometheus(
-                tracer, args.prom_out,
-                monitor=run.slo_monitor, now=run.sim.now,
-                costmeter=run.costmeter,
-            )
+            n = write_prometheus(tracer, args.prom_out)
             emit(f"wrote {n} Prometheus samples to {args.prom_out}")
         if args.timeseries_out:
-            if run.sampler is None:
+            if tracer.timeseries is None:
                 logger.error(
                     "no time-series recorded: sampling is disabled "
                     "(--timeseries-interval must be > 0)"
                 )
                 return 1
-            n = run.sampler.save(args.timeseries_out)
+            n = tracer.timeseries.save(args.timeseries_out)
             emit(
                 f"wrote {n} time-series columns "
-                f"({run.sampler.n_samples} samples) to {args.timeseries_out}"
+                f"({tracer.timeseries.n_samples} samples) to "
+                f"{args.timeseries_out}"
             )
         worst_view = None
         if result.reqtrace is not None:
@@ -1225,9 +1222,6 @@ def _cmd_cost_report(args) -> int:
             scheme, model, trace, profiles, slo, config, tracer=tracer
         )
         breakdown = result.cost_breakdown
-        if breakdown is None:
-            logger.error("cost meter recorded nothing for %s", scheme)
-            return 1
         compliance = cost_of_compliance(
             _trace_data_of(tracer),
             slo_seconds=slo.target_seconds,

@@ -165,14 +165,11 @@ class CircuitBreaker:
         policy: BreakerPolicy,
         *,
         tracer: Tracer = NULL_TRACER,
-        reqtrace=None,
     ) -> None:
         self.target = target
         self.policy = policy
+        #: The run's tracer; a state transition is one call on it.
         self.tracer = tracer
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`;
-        #: ``None`` costs one ``is None`` branch per state transition.
-        self.reqtrace = reqtrace
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -185,16 +182,9 @@ class CircuitBreaker:
         if state == self.state:
             return
         self.state = state
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_breaker(self.target, state, now)
         if self.tracer.enabled:
-            self.tracer.event(
-                f"breaker.{state}",
-                now,
-                cat="resilience",
-                target=self.target,
-                consecutive_failures=self.consecutive_failures,
+            self.tracer.breaker_transition(
+                self.target, state, now, self.consecutive_failures
             )
 
     def allow(self, now: float) -> bool:
@@ -257,6 +247,9 @@ class ResilienceController:
     * :meth:`target_available` — may I dispatch to this hardware now?
     * :meth:`plan_retry` — when (if ever) should this batch retry?
     * :meth:`degraded` — should dispatch run in the degraded regime?
+
+    The run's ``tracer`` is handed to every breaker, so a transition
+    reaches each sink attached to it (event log, request tracer).
     """
 
     def __init__(
@@ -271,10 +264,6 @@ class ResilienceController:
         #: Self-profiler for retry planning; ``None`` keeps plan_retry on
         #: a bare `is None` branch.
         self.selfprof = selfprof
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (assigned post-hoc by the framework's telemetry setup);
-        #: handed to every breaker created after assignment.
-        self.reqtrace = None
         self._rng = random.Random(config.seed)
         self._breakers: dict[str, CircuitBreaker] = {}
         # Counters (mirrored into the metrics registry by the framework).
@@ -292,7 +281,6 @@ class ResilienceController:
                 target,
                 self.config.breaker,
                 tracer=self.tracer,
-                reqtrace=self.reqtrace,
             )
         return b
 

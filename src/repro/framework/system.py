@@ -76,6 +76,11 @@ _POOL_STATES = ("warm_idle", "spawning", "busy", "waiting")
 class RunConfig:
     """Framework knobs (paper defaults).
 
+    The telemetry knobs (``timeseries_interval_seconds`` to
+    ``reqtrace_sample``) act only on a traced run, whose sinks all live
+    on its :class:`Tracer`; a traced run always itemizes its dollars
+    (``tracer.costmeter``).  An untraced run builds no sink.
+
     Attributes
     ----------
     batch_window_seconds:
@@ -106,22 +111,13 @@ class RunConfig:
     timeseries_interval_seconds:
         Cadence of the time-series :class:`~repro.telemetry.timeseries.
         StateSampler` (columnar state probes: rates, per-node occupancy,
-        pool sizes, breaker states).  ``<= 0`` disables it.  Like the
-        metrics sampler it only exists when a tracer is enabled, so an
-        untraced run constructs no sampler and schedules no events.
+        pool sizes, breaker states).  ``<= 0`` disables it.
     slo_monitor_window_seconds:
         Sliding-window width of the live SLO burn-rate monitor
         (:class:`~repro.telemetry.slo_monitor.SLOMonitor`).  ``<= 0``
-        disables the monitor entirely.  Like the sampler, the monitor
-        only exists when a tracer is enabled.  It emits a ``slo_alert``
-        event when a window's burn rate (violation rate / error budget)
+        disables the monitor entirely.  It emits a ``slo_alert`` event
+        when a window's burn rate (violation rate / error budget)
         reaches 2.0.
-    cost_meter:
-        Itemize lease dollars into busy/cold-start/idle/reconfiguration
-        buckets with per-request pro-rata attribution
-        (:class:`~repro.telemetry.costmeter.CostMeter`).  Like the
-        sampler, the meter only exists when a tracer is enabled; an
-        untraced run pays one ``is None`` branch per lease transition.
     cost_budget_dollars:
         Optional dollar budget for the run.  When the windowed $/hour
         burn rate projects the end-of-run spend past it, the
@@ -132,9 +128,7 @@ class RunConfig:
         Record a per-request causal trace
         (:class:`~repro.telemetry.reqtrace.RequestTracer`): phase
         waterfalls per request id, batch peers, dispatch context,
-        retries, node churn.  Like the cost meter, the tracer only
-        exists when a :class:`Tracer` is enabled; disabled runs pay one
-        ``is None`` branch per hook site and stay bit-identical.
+        retries, node churn.
     reqtrace_sample:
         Fraction of batches retained in full (deterministic splitmix64
         over ``(seed, batch_id)``); the 64 worst batches by
@@ -154,7 +148,6 @@ class RunConfig:
     sebs_invocation_rps: float = 4.0
     timeseries_interval_seconds: float = 0.5
     slo_monitor_window_seconds: float = 30.0
-    cost_meter: bool = True
     cost_budget_dollars: Optional[float] = None
     reqtrace: bool = False
     reqtrace_sample: float = 1.0
@@ -197,7 +190,7 @@ class RunResult:
     requests_dropped: int = 0
     #: Itemized dollar decomposition (busy/cold-start/idle/reconfig,
     #: per-batch pro-rata attribution, per-(model, spec) tables); only
-    #: populated on traced runs with ``RunConfig.cost_meter`` enabled.
+    #: populated on traced runs.
     cost_breakdown: Optional[CostBreakdown] = field(
         repr=False, default=None
     )
@@ -231,11 +224,13 @@ class ServerlessRun:
         Framework knobs.
     sim / cluster:
         Keyword-only injection points for shared-clock (multi-model)
-        deployments.
+        deployments.  A shared ``cluster`` cannot be combined with an
+        enabled ``tracer``: lease facts go to the cluster's tracer.
     tracer:
-        Telemetry sink (keyword-only).  Defaults to the shared disabled
-        tracer: no spans, no decision events, no sampler events — the run
-        is bit-identical to an untraced one.
+        The run's one telemetry handle (keyword-only).  A traced run
+        attaches every sink to it at setup.  Defaults to the shared
+        disabled tracer: no spans, no decision events, no sampler
+        events — the run is bit-identical to an untraced one.
     selfprof:
         Optional :class:`~repro.telemetry.selfprof.RunProfiler`
         (keyword-only).  When attached, the run records a hierarchical
@@ -269,6 +264,9 @@ class ServerlessRun:
         self.config = config if config is not None else RunConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.selfprof = selfprof
+        if cluster is not None and self.tracer.enabled:
+            # Lease facts reach the sinks through the cluster's tracer.
+            raise ValueError("a traced run cannot share a cluster")
 
         # A multi-model deployment (see MultiModelRun) passes a shared
         # simulator and cluster so every function's lane lives on one
@@ -350,28 +348,6 @@ class ServerlessRun:
                 # Must be installed before the warm-start pool is created
                 # in _setup so every pool sees the hook.
                 self.cluster.spawn_delay_fn = self._chaos.cold_start_delay
-        #: The tracer's request-latency histogram; set in
-        #: ``_setup_telemetry`` (only reached when tracing is enabled).
-        self._latency_histogram = None
-        #: Live SLO burn-rate monitor; constructed in ``_setup_telemetry``
-        #: only when tracing is enabled and the window is positive.
-        self.slo_monitor: Optional[SLOMonitor] = None
-        #: Time-series state sampler; constructed in ``_setup_telemetry``
-        #: only when tracing is enabled and the interval is positive.
-        self.sampler: Optional[StateSampler] = None
-        #: Itemized cost meter; installed on the cluster in
-        #: ``_setup_telemetry`` only when tracing is enabled and
-        #: ``config.cost_meter`` is set (shared-cluster lanes reuse the
-        #: first lane's meter).
-        self.costmeter: Optional[CostMeter] = None
-        #: Budget burn-rate watchdog over the meter; sampled from the
-        #: telemetry tick when a meter exists and the window is positive.
-        self.cost_monitor: Optional[CostBudgetMonitor] = None
-        #: Per-request causal tracer; installed on the cluster in
-        #: ``_setup_telemetry`` only when tracing is enabled and
-        #: ``config.reqtrace`` is set (shared-cluster lanes reuse the
-        #: first lane's tracer, each registering its own model SLO).
-        self.reqtrace: Optional[RequestTracer] = None
         self._executed = False
 
     # ------------------------------------------------------------------
@@ -487,8 +463,10 @@ class ServerlessRun:
     # Telemetry (only reached when the tracer is enabled)
     # ------------------------------------------------------------------
     def _setup_telemetry(self) -> None:
-        """Register the sim-time gauges and start the sampler loop."""
-        self.tracer.meta.update(
+        """Attach the sinks to the tracer (before the first lease), register
+        the sim-time gauges and start the sampler loop."""
+        tracer = self.tracer
+        tracer.meta.update(
             {
                 "scheme": self.policy.name,
                 "model": self.model.name,
@@ -498,8 +476,8 @@ class ServerlessRun:
                 "seed": self.config.seed,
             }
         )
-        reg = self.tracer.metrics
-        self._latency_histogram = reg.histogram("request.latency_seconds")
+        reg = tracer.metrics
+        tracer.latency_histogram = reg.histogram("request.latency_seconds")
         current = lambda fn: self._on_current(fn, 0.0)
 
         reg.gauge(
@@ -541,47 +519,36 @@ class ServerlessRun:
                 "resilience.requests_dropped", lambda: self.requests_dropped
             )
             reg.gauge("resilience.breakers_open", res.open_breakers)
-        if self.config.slo_monitor_window_seconds > 0:
-            self.slo_monitor = SLOMonitor(
+        cfg = self.config
+        #: What each telemetry tick samples, in order, as (self-profiler
+        #: frame, sampler) pairs.
+        self._tick_samples = [("telemetry.metrics", reg.sample)]
+        if cfg.slo_monitor_window_seconds > 0:
+            tracer.slo_monitor = SLOMonitor(
                 slo_seconds=self.slo.target_seconds,
-                tracer=self.tracer,
-                window_seconds=self.config.slo_monitor_window_seconds,
+                tracer=tracer,
+                window_seconds=cfg.slo_monitor_window_seconds,
                 compliance_goal=self.slo.compliance_goal,
             )
-        if self.config.cost_meter:
-            # _setup_telemetry runs before the initial acquire, so the
-            # meter sees every lease.  In a shared cluster the first
-            # lane installs the meter and later lanes reuse it; each
-            # lane's summary filters to its own node ids at finalize.
-            if self.cluster.costmeter is None:
-                self.cluster.costmeter = CostMeter()
-            self.costmeter = self.cluster.costmeter
-            self.cost_monitor = CostBudgetMonitor(
-                self.costmeter,
-                tracer=self.tracer,
-                budget_dollars=self.config.cost_budget_dollars,
-                horizon_seconds=(
-                    self.trace.duration + self.config.drain_grace_seconds
-                ),
+            self._tick_samples.append(
+                ("telemetry.monitor", tracer.slo_monitor.sample)
             )
-        if self.config.reqtrace:
-            # Like the cost meter: _setup_telemetry runs before the
-            # initial acquire, so the tracer sees every lease.  In a
-            # shared cluster the first lane installs the tracer and
-            # later lanes reuse it; each lane registers its own model's
-            # SLO so per-request violation verdicts stay per-model.
-            if self.cluster.reqtrace is None:
-                self.cluster.reqtrace = RequestTracer(
-                    sample=self.config.reqtrace_sample,
-                    seed=self.config.seed,
-                )
-            self.reqtrace = self.cluster.reqtrace
-            self.reqtrace.register_model(
+        tracer.costmeter = CostMeter()
+        tracer.cost_monitor = CostBudgetMonitor(
+            tracer.costmeter,
+            tracer=tracer,
+            budget_dollars=cfg.cost_budget_dollars,
+            horizon_seconds=self.trace.duration + cfg.drain_grace_seconds,
+        )
+        self._tick_samples.append(("telemetry.cost", tracer.cost_monitor.sample))
+        if cfg.reqtrace:
+            tracer.reqtrace = RequestTracer(
+                sample=cfg.reqtrace_sample, seed=cfg.seed
+            )
+            tracer.reqtrace.register_model(
                 self.model.name, self.slo.target_seconds
             )
-            if self.resilience is not None:
-                self.resilience.reqtrace = self.reqtrace
-        if self.config.timeseries_interval_seconds > 0:
+        if cfg.timeseries_interval_seconds > 0:
             self._setup_timeseries()
         self.sim.schedule(
             TELEMETRY_SAMPLE_INTERVAL_SECONDS, self._telemetry_tick, priority=90
@@ -660,9 +627,9 @@ class ServerlessRun:
         def per_spec() -> list[float]:
             occupancy: dict[str, list] = {name: [] for name in spec_names}
             co_run: dict[str, list] = {name: [] for name in spec_names}
-            owned = self._owned_node_ids
+            # A traced run owns every node of its cluster.
             for node in self.cluster.active_nodes():
-                if node.node_id in owned and node.spec.name in occupancy:
+                if node.spec.name in occupancy:
                     occupancy[node.spec.name].append(node.occupancy)
                     co_run[node.spec.name].append(node.co_run_level)
             out: list[float] = []
@@ -702,30 +669,26 @@ class ServerlessRun:
             )
 
         # Live SLO burn rate (worst window) when the monitor exists; the
-        # monitor is created just before this method runs.
-        if self.slo_monitor is not None:
-            mon = self.slo_monitor
+        # monitor is attached just before this method runs.
+        mon = self.tracer.slo_monitor
+        if mon is not None:
             sampler.probe_group(
                 ("slo.burn_rate", "slo.attainment"),
                 lambda: mon.summary(self.sim.now),
             )
 
         # Cumulative dollars + $/hour burn rate (cost pillar).
-        if self.costmeter is not None:
-            meter = self.costmeter
-            sampler.probe(
-                "cost.cumulative_dollars", lambda: meter.spent(self.sim.now)
-            )
-            if self.cost_monitor is not None:
-                budget_mon = self.cost_monitor
-                sampler.probe(
-                    "cost.burn_rate_per_hour",
-                    lambda: budget_mon.burn_rate_per_hour,
-                )
-                sampler.probe(
-                    "cost.projected_dollars",
-                    lambda: budget_mon.projected_dollars,
-                )
+        meter = self.tracer.costmeter
+        sampler.probe(
+            "cost.cumulative_dollars", lambda: meter.spent(self.sim.now)
+        )
+        budget_mon = self.tracer.cost_monitor
+        sampler.probe(
+            "cost.burn_rate_per_hour", lambda: budget_mon.burn_rate_per_hour
+        )
+        sampler.probe(
+            "cost.projected_dollars", lambda: budget_mon.projected_dollars
+        )
 
         # Experiment result-cache counters (process-level registry; flat
         # zero outside experiment harness runs).  Imported lazily to keep
@@ -747,7 +710,6 @@ class ServerlessRun:
             self.trace.duration + cfg.drain_grace_seconds,
             priority=90,
         )
-        self.sampler = sampler
         self.tracer.timeseries = sampler
 
     def _on_current(self, fn, default: float):
@@ -774,21 +736,10 @@ class ServerlessRun:
     def _telemetry_tick(self) -> None:
         now = self.sim.now
         prof = self.selfprof
-        if prof is not None:
-            prof.push("telemetry.metrics")
-        self.tracer.metrics.sample(now)
-        if prof is not None:
-            prof.pop()
-        if self.slo_monitor is not None:
+        for frame, sample in self._tick_samples:
             if prof is not None:
-                prof.push("telemetry.monitor")
-            self.slo_monitor.sample(now)
-            if prof is not None:
-                prof.pop()
-        if self.cost_monitor is not None:
-            if prof is not None:
-                prof.push("telemetry.cost")
-            self.cost_monitor.sample(now)
+                prof.push(frame)
+            sample(now)
             if prof is not None:
                 prof.pop()
         if now < self.trace.duration + self.config.drain_grace_seconds:
@@ -858,18 +809,7 @@ class ServerlessRun:
             expired = window.arrivals + self.slo.target_seconds <= now
             n_shed = int(expired.sum())
             if n_shed:
-                self.resilience.shed(n_shed)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry.shed",
-                        now,
-                        cat="resilience",
-                        n=n_shed,
-                        reason="deadline_passed",
-                    )
-                rt = self.reqtrace
-                if rt is not None:
-                    rt.on_shed(now, None, n_shed, "deadline_passed")
+                self._shed(now, None, n_shed)
                 kept = window.arrivals[~expired]
                 if kept.size == 0:
                     return
@@ -979,9 +919,14 @@ class ServerlessRun:
     def _drop(self, batch: Batch) -> None:
         """Lose a batch under ``recovery="drop"``: count it and trace it."""
         self.requests_dropped += batch.size
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_drop(batch.batch_id, self.sim.now, batch.size)
+        if self.tracer.enabled:
+            self.tracer.drop(batch.batch_id, self.sim.now, batch.size)
+
+    def _shed(self, now: float, batch_id: Optional[int], n: int) -> None:
+        """Shed ``n`` requests whose deadline has passed."""
+        self.resilience.shed(n)
+        if self.tracer.enabled:
+            self.tracer.shed(now, batch_id, n, "deadline_passed")
 
     def _submit(self, batch: Batch, node: NodeInstance, pool) -> None:
         spec = node.spec
@@ -998,41 +943,18 @@ class ServerlessRun:
         slowdown = (
             self._chaos.slowdown_factor if self._chaos is not None else 1.0
         )
+        tracer = self.tracer
 
         def on_complete(job: Job) -> None:
             pool.release()
             if self.resilience is not None:
                 self.resilience.record_success(spec.name, self.sim.now)
             self.metrics.record_batch(batch)
-            # The telemetry sinks' per-batch fan-out.
             prof = self.selfprof
             if prof is not None:
                 prof.push("telemetry.batch")
-            meter = self.costmeter
-            if meter is not None:
-                meter.on_batch(
-                    node.node_id,
-                    batch.model.name,
-                    batch.batch_id,
-                    batch.size,
-                    float(batch.started_at),
-                    float(batch.completed_at),
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_batch_complete(batch, node.node_id)
-            if self.tracer.enabled:
-                self.tracer.record_batch_span(batch)
-                self._latency_histogram.observe(
-                    float(batch.completed_at) - batch.first_arrival
-                )
-                if self.slo_monitor is not None:
-                    self.slo_monitor.observe_batch(
-                        self.sim.now,
-                        batch.model.name,
-                        batch.hardware_name or "?",
-                        batch.latencies(),
-                    )
+            if tracer.enabled:
+                tracer.batch_complete(batch, node.node_id, self.sim.now)
             if prof is not None:
                 prof.pop()
 
@@ -1368,20 +1290,7 @@ class ServerlessRun:
         now = self.sim.now
         deadline = batch.first_arrival + self.slo.target_seconds
         if res.config.shed_expired and now >= deadline:
-            res.shed(batch.size)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "retry.shed",
-                    now,
-                    cat="resilience",
-                    batch_id=batch.batch_id,
-                    n=batch.size,
-                    reason="deadline_passed",
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_shed(now, batch.batch_id, batch.size,
-                           "deadline_passed")
+            self._shed(now, batch.batch_id, batch.size)
             return
         plan = res.plan_retry(
             now,
@@ -1391,18 +1300,8 @@ class ServerlessRun:
         )
         if plan is None:
             if self.tracer.enabled:
-                self.tracer.event(
-                    "retry.abandoned",
-                    now,
-                    cat="resilience",
-                    batch_id=batch.batch_id,
-                    attempt=batch.retries + 1,
-                    deadline=deadline,
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_retry_abandoned(
-                    batch.batch_id, now, "deadline_unreachable"
+                self.tracer.retry_abandoned(
+                    batch.batch_id, now, batch.retries + 1, deadline
                 )
             return
         delay, backoff = plan
@@ -1448,19 +1347,8 @@ class ServerlessRun:
         batch.dispatched_at = now
         batch.retries += 1
         if self.tracer.enabled:
-            self.tracer.event(
-                "retry.dispatch",
-                now,
-                cat="resilience",
-                batch_id=batch.batch_id,
-                attempt=batch.retries,
-                deadline=deadline,
-                hardware=node.spec.name,
-            )
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_retry_dispatch(
-                batch.batch_id, batch.retries, now, node.spec.name
+            self.tracer.retry_dispatch(
+                batch.batch_id, batch.retries, now, deadline, node.spec.name
             )
         self._acquire_and_submit(batch, node)
 
@@ -1521,49 +1409,23 @@ class ServerlessRun:
         }
 
         cold = int(self._cold_starts.value)
-        breakdown = None
-        meter = self.costmeter
-        if meter is not None:
-            breakdown = meter.summarize(now, node_ids=self._owned_node_ids)
-        reqtrace_data = None
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_run_end(now)
-            reqtrace_data = rt.data()
-        budget_alerts = (
-            self.cost_monitor.alerts_emitted
-            if self.cost_monitor is not None
-            else 0
-        )
-        if self.tracer.enabled:
-            # Leases still open at run end never saw a release; close
-            # their spans here so the trace timeline covers every node.
-            for node, lease in owned:
-                if lease.end is None:
-                    self.tracer.span(
-                        f"lease:{lease.spec.name}",
-                        lease.start,
-                        now,
-                        cat="lease",
-                        track="leases",
-                        hardware=lease.spec.name,
-                        node_id=node.node_id,
-                        cost=lease.cost(now),
-                        open_at_end=True,
-                    )
-            self.tracer.meta.update(
+        breakdown = reqtrace_data = None
+        budget_alerts = 0
+        tracer = self.tracer
+        if tracer.enabled:
+            breakdown = tracer.costmeter.summarize(now)
+            budget_alerts = tracer.cost_monitor.alerts_emitted
+            reqtrace_data = tracer.run_end(now, owned)
+            tracer.meta.update(
                 {
                     "completed_requests": completed,
                     "offered_requests": offered,
                     "total_cost": cost,
                     "n_switches": self.n_switches,
                     "engine_dispatches": self.sim.n_dispatched,
+                    "cost_buckets": dict(breakdown.bucket_dollars),
                 }
             )
-            if breakdown is not None:
-                self.tracer.meta["cost_buckets"] = dict(
-                    breakdown.bucket_dollars
-                )
         slo_s = self.slo.target_seconds
         p50, p99 = self.metrics.percentile_latencies((50.0, 99.0))
         return RunResult(

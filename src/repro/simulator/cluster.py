@@ -66,7 +66,7 @@ class NodeInstance:
         "_pools",
         "available",
         "spawn_delay_fn",
-        "costmeter",
+        "tracer",
         "cold_start_counter",
     )
 
@@ -80,6 +80,7 @@ class NodeInstance:
         rng: np.random.Generator,
         *,
         selfprof=None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim
         self.spec = spec
@@ -87,17 +88,16 @@ class NodeInstance:
         self.node_id = NodeInstance._ids
         if spec.is_gpu:
             self.device: Device = GPUDevice(
-                sim, spec, interference, rng, selfprof=selfprof
+                sim, spec, interference, rng, selfprof=selfprof, tracer=tracer
             )
         else:
-            self.device = CPUDevice(sim, spec, rng)
+            self.device = CPUDevice(sim, spec, rng, tracer=tracer)
         self._pools: dict[str, ContainerPool] = {}
         self.available = True
         #: Chaos cold-start hook handed to pools created on this node.
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` handed
-        #: to pools created on this node (spawn-interval itemization).
-        self.costmeter = None
+        #: The cluster's tracer, handed to pools created on this node.
+        self.tracer = tracer
         #: Cold-start counter of the run that owns this node, handed to
         #: pools created on it (see :meth:`ContainerPool._spawn`).
         self.cold_start_counter = None
@@ -107,10 +107,11 @@ class NodeInstance:
         try:
             return self._pools[model_name]
         except KeyError:
-            pool = ContainerPool(self.sim, self.spec.cold_start_seconds)
+            pool = ContainerPool(
+                self.sim, self.spec.cold_start_seconds,
+                node_id=self.node_id, tracer=self.tracer,
+            )
             pool.spawn_delay_fn = self.spawn_delay_fn
-            pool.costmeter = self.costmeter
-            pool.cost_key = self.node_id
             pool.cold_start_counter = self.cold_start_counter
             self._pools[model_name] = pool
             return pool
@@ -160,6 +161,10 @@ class Cluster:
         Ground-truth MPS interference physics, shared by all GPU nodes.
     seed:
         Seed for per-node execution noise streams.
+    tracer:
+        The run's telemetry handle (keyword-only), handed to every node,
+        device and pool: each lease transition, container spawn and
+        execution start is one ``if tracer.enabled:`` call on it.
     """
 
     def __init__(
@@ -189,17 +194,6 @@ class Cluster:
         #: phase-tree frames; ``None`` (the default) leaves devices
         #: entirely uninstrumented.
         self.selfprof = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` that
-        #: itemizes every lease-second into busy/cold-start/idle/
-        #: reconfiguration dollars.  Propagated to every subsequently
-        #: acquired node (and its pools); ``None`` (the default) costs
-        #: one ``is None`` branch per lease transition.
-        self.costmeter = None
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: propagated to every subsequently acquired node's device so
-        #: execution starts carry hardware/co-run context; ``None`` (the
-        #: default) costs one ``is None`` branch per lease transition.
-        self.reqtrace = None
 
     # ------------------------------------------------------------------
     # Acquisition / release
@@ -217,50 +211,27 @@ class Cluster:
         ``instant=True`` provisioning is skipped (used for warm starts at
         experiment begin, and by the clairvoyant Oracle).
         """
+        now = self.sim.now
+        immediate = instant or spec.provision_seconds <= 0
         node = NodeInstance(
             self.sim,
             spec,
             self.interference,
             np.random.default_rng(self._root_rng.integers(2**63)),
             selfprof=self.selfprof,
+            tracer=self.tracer,
         )
         node.spawn_delay_fn = self.spawn_delay_fn
-        node.costmeter = self.costmeter
         self.nodes.append(node)
-        lease = LeaseRecord(spec=spec, start=self.sim.now)
+        lease = LeaseRecord(spec=spec, start=now)
         self.leases.append(lease)
         self._active_leases[node.node_id] = lease
-        meter = self.costmeter
-        if meter is not None:
-            ready_at = (
-                self.sim.now
-                if instant or spec.provision_seconds <= 0
-                else self.sim.now + spec.provision_seconds
-            )
-            meter.on_acquire(node.node_id, spec, self.sim.now, ready_at)
-        rt = self.reqtrace
-        if rt is not None:
-            node.device.reqtrace = rt
-            ready_at = (
-                self.sim.now
-                if instant or spec.provision_seconds <= 0
-                else self.sim.now + spec.provision_seconds
-            )
-            rt.on_node_acquire(
-                node.node_id, spec.name, self.sim.now, ready_at, bool(instant)
-            )
         if self.tracer.enabled:
-            self.tracer.event(
-                "node.acquire",
-                self.sim.now,
-                cat="lease",
-                track="cluster",
-                hardware=spec.name,
-                node_id=node.node_id,
-                instant=bool(instant),
-                provision_seconds=spec.provision_seconds,
+            ready_at = now if immediate else now + spec.provision_seconds
+            self.tracer.node_acquire(
+                node.node_id, spec, now, ready_at, bool(instant)
             )
-        if instant or spec.provision_seconds <= 0:
+        if immediate:
             on_ready(node)
         else:
             self.sim.schedule(spec.provision_seconds, lambda: on_ready(node))
@@ -272,34 +243,8 @@ class Cluster:
         if lease is None:
             raise ValueError(f"{node!r} has no active lease")
         lease.end = self.sim.now
-        meter = self.costmeter
-        if meter is not None:
-            meter.on_release(node.node_id, self.sim.now)
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_node_release(node.node_id, self.sim.now)
         if self.tracer.enabled:
-            now = self.sim.now
-            self.tracer.event(
-                "node.release",
-                now,
-                cat="lease",
-                track="cluster",
-                hardware=node.spec.name,
-                node_id=node.node_id,
-                lease_seconds=lease.duration(now),
-                lease_cost=lease.cost(now),
-            )
-            self.tracer.span(
-                f"lease:{node.spec.name}",
-                lease.start,
-                now,
-                cat="lease",
-                track="leases",
-                hardware=node.spec.name,
-                node_id=node.node_id,
-                cost=lease.cost(now),
-            )
+            self.tracer.node_release(node.node_id, lease, lease.end)
         for pool in node.pools().values():
             pool.terminate_all()
         node.available = False
@@ -310,14 +255,6 @@ class Cluster:
     def active_nodes(self) -> list[NodeInstance]:
         """Nodes with a live lease (the ones paying rent right now)."""
         return [n for n in self.nodes if n.node_id in self._active_leases]
-
-    def occupancy_by_spec(self) -> dict[str, float]:
-        """Mean instantaneous occupancy per hardware type over live
-        leases; specs with no active node are absent."""
-        acc: dict[str, list[float]] = {}
-        for node in self.active_nodes():
-            acc.setdefault(node.spec.name, []).append(node.occupancy)
-        return {name: sum(vals) / len(vals) for name, vals in acc.items()}
 
     # ------------------------------------------------------------------
     # Cost accounting (Section V: lease-time weighted node prices)

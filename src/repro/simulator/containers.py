@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.simulator.engine import Simulator
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["ContainerPool", "AcquireTicket"]
 
@@ -55,6 +56,9 @@ class ContainerPool:
     min_warm:
         Containers the reaper always keeps (the paper reuses one warm
         container for the whole temporal queue, so at least one).
+    node_id / tracer:
+        The owning node's id and the cluster's tracer (keyword-only);
+        each spawn reports its interval on ``node_id`` to the tracer.
     """
 
     def __init__(
@@ -63,12 +67,17 @@ class ContainerPool:
         cold_start_seconds: float,
         min_warm: int = 1,
         max_total: int = 64,
+        *,
+        node_id: int = -1,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if cold_start_seconds < 0:
             raise ValueError("cold start cannot be negative")
         if max_total < 1:
             raise ValueError("max_total must be >= 1")
         self.sim = sim
+        self.node_id = node_id
+        self.tracer = tracer
         self.cold_start_seconds = float(cold_start_seconds)
         self.min_warm = int(min_warm)
         #: Hard cap on containers (a node's memory/PIDs are finite; it also
@@ -90,11 +99,6 @@ class ContainerPool:
         #: actual spawn delay for one cold start (failed starts retry and
         #: chain, inflating the delay).  ``None`` means healthy spawns.
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` (set by
-        #: the owning node); spawn intervals feed its cold-start bucket.
-        self.costmeter = None
-        #: The owning node's id, the meter's lease key.
-        self.cost_key = -1
         #: Optional shared counter (anything with ``inc()``) that also
         #: counts this pool's cold starts — the owning run's running
         #: total over every pool on the nodes it leased.
@@ -172,9 +176,9 @@ class ContainerPool:
             if self.spawn_delay_fn is not None
             else self.cold_start_seconds
         )
-        meter = self.costmeter
-        if meter is not None:
-            meter.on_spawn(self.cost_key, self.sim.now, self.sim.now + delay)
+        if self.tracer.enabled:
+            now = self.sim.now
+            self.tracer.container_spawn(self.node_id, now, now + delay)
         self.sim.schedule(delay, self._on_warm)
 
     def _on_warm(self) -> None:

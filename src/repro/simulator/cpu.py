@@ -21,6 +21,7 @@ import numpy as np
 from repro.hardware.catalog import HardwareSpec
 from repro.simulator.engine import Simulator
 from repro.simulator.job import Job
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["CPUDevice"]
 
@@ -38,6 +39,9 @@ class CPUDevice:
         Execution-noise source.
     exec_noise_sigma:
         Multiplicative noise on per-batch service times.
+    tracer:
+        The cluster's tracer (keyword-only); each job start is one call
+        on it carrying the hardware and co-run level.
     """
 
     def __init__(
@@ -46,11 +50,14 @@ class CPUDevice:
         spec: HardwareSpec,
         rng: Optional[np.random.Generator] = None,
         exec_noise_sigma: float = 0.03,
+        *,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if spec.is_gpu:
             raise ValueError(f"{spec.name} is a GPU node; use GPUDevice")
         self.sim = sim
         self.spec = spec
+        self.tracer = tracer
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.exec_noise_sigma = float(exec_noise_sigma)
 
@@ -64,10 +71,6 @@ class CPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (set by the cluster on acquisition); ``None`` costs one
-        #: ``is None`` branch per job start.
-        self.reqtrace = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -167,14 +170,10 @@ class CPUDevice:
                 * job.slowdown
             )
             self._running.append(job)
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_execute_start(
-                    job.batch.batch_id,
-                    self.sim.now,
-                    self.spec.name,
-                    len(self._running),
-                    0.0,
+            if self.tracer.enabled:
+                self.tracer.execute_start(
+                    job.batch.batch_id, self.sim.now, self.spec.name,
+                    len(self._running), 0.0,
                 )
             self._mark_busy_transition()
             self.sim.schedule(service, lambda j=job: self._finish(j))

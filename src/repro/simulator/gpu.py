@@ -40,6 +40,7 @@ from repro.simulator.interference import (
     ProfiledInterference,
 )
 from repro.simulator.job import Job
+from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 __all__ = ["GPUDevice"]
 
@@ -74,6 +75,9 @@ class GPUDevice:
         the interference law is wrapped so its calls surface as
         ``gpu.interference`` leaves; ``None`` keeps both hot paths on a
         bare ``is None`` branch and the law un-wrapped.
+    tracer:
+        The cluster's tracer (keyword-only); each job start is one call
+        on it carrying the hardware, co-run level and resident FBR.
     """
 
     def __init__(
@@ -85,12 +89,14 @@ class GPUDevice:
         exec_noise_sigma: float = 0.02,
         *,
         selfprof=None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if not spec.is_gpu:
             raise ValueError(f"{spec.name} is not a GPU node")
         self.sim = sim
         self.spec = spec
         self.selfprof = selfprof
+        self.tracer = tracer
         if selfprof is not None:
             interference = ProfiledInterference(interference, selfprof)
         self.interference = interference
@@ -117,10 +123,6 @@ class GPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (set by the cluster on acquisition); ``None`` costs one
-        #: ``is None`` branch per job start.
-        self.reqtrace = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -300,13 +302,9 @@ class GPUDevice:
         self._active.append(job)
         self._resident_changed()
         self._mem_used += job.mem_gb
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_execute_start(
-                job.batch.batch_id,
-                now,
-                self.spec.name,
-                len(self._active),
+        if self.tracer.enabled:
+            self.tracer.execute_start(
+                job.batch.batch_id, now, self.spec.name, len(self._active),
                 self._fbr,
             )
         self._mark_busy_transition()

@@ -9,7 +9,8 @@ request's latency actually went.  This package records the path taken:
   → batching → dispatch → cold start → execution → completion) and
   per-component **decision events** (hardware-selection ticks with their
   full candidate tables, y-split choices, autoscaler actions, failure
-  injections, node leases).
+  injections, node leases).  It is also the run's one telemetry handle:
+  every sink below hangs off it, and each run fact is one method on it.
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — sim-time counters,
   gauges, and histograms sampled on a configurable interval.
 * :mod:`~repro.telemetry.exporters` — JSONL and Chrome ``trace_event``

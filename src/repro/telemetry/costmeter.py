@@ -21,9 +21,11 @@ Every lease-second lands in exactly one bucket, so::
         == RunResult.total_cost          (within float tolerance)
 
 Like the sampler and self-profiler, the meter is a pure observer with a
-zero-overhead disabled path: every instrumented site in the cluster,
-container pool, and framework pays one attribute load plus one ``is
-None`` branch when no meter is installed, proven by deterministic
+zero-overhead disabled path.  Every traced run attaches one to its
+:class:`~repro.telemetry.tracer.Tracer`; the cluster, container pools
+and framework report lease, spawn and batch facts to the tracer behind
+one ``if tracer.enabled:`` branch each, so an untraced run never enters
+this module, proven by deterministic
 call-count gates (``benchmarks/test_bench_costmeter.py``).
 
 :class:`CostBudgetMonitor` (shape of
@@ -203,7 +205,7 @@ class CostMeter:
         self._closed_dollars = 0.0
 
     # ------------------------------------------------------------------
-    # Hooks (each a single call from an ``is None``-guarded site)
+    # Hooks (called by the tracer's run-fact methods)
     # ------------------------------------------------------------------
     def on_acquire(
         self, node_id: int, spec: "HardwareSpec", now: float, ready_at: float
@@ -367,21 +369,16 @@ class CostMeter:
         lease._batch_meta = batch_meta  # type: ignore[attr-defined]
         return lease
 
-    def summarize(
-        self, now: float, node_ids: Optional[set] = None
-    ) -> CostBreakdown:
+    def summarize(self, now: float) -> CostBreakdown:
         """Aggregate every lease into a :class:`CostBreakdown`.
 
         Open leases are billed to ``now`` without being closed (the
-        meter stays live).  ``node_ids`` restricts the summary to one
-        lane's leases in a shared cluster (``MultiModelRun``).
+        meter stays live).
         """
         out = CostBreakdown()
         states = self._closed + list(self._open.values())
         states.sort(key=lambda s: (s.start, s.node_id))
         for state in states:
-            if node_ids is not None and state.node_id not in node_ids:
-                continue
             end = state.end if state.end is not None else now
             lease = self._itemize(state, end)
             out.leases.append(lease)

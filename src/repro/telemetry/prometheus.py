@@ -31,7 +31,6 @@ import re
 from typing import Optional
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.slo_monitor import SLOMonitor
 from repro.telemetry.tracer import Tracer
 
 __all__ = ["to_prometheus_text", "write_prometheus"]
@@ -62,28 +61,30 @@ def _escape_label(value: str) -> str:
 
 
 def to_prometheus_text(
-    source: Tracer | MetricsRegistry,
-    monitor: Optional[SLOMonitor] = None,
-    now: Optional[float] = None,
-    costmeter=None,
+    source: Tracer | MetricsRegistry, now: Optional[float] = None
 ) -> str:
     """Render the metrics snapshot in Prometheus exposition format.
 
     Parameters
     ----------
     source:
-        A tracer (its registry is used) or a registry directly.
-    monitor:
-        Optional live SLO monitor; its windows are evaluated at ``now``
-        and exported as labelled gauges.
+        A tracer or a registry directly.  A tracer contributes its
+        registry and its attached sinks: the time-series sampler's last
+        readings, the SLO monitor's windows (labelled gauges) and the
+        cost meter's summary (``repro_cost_*`` gauges), the last two
+        evaluated at ``now``.
     now:
-        Sim-time instant for the monitor evaluation (required when
-        ``monitor`` is given).
-    costmeter:
-        Optional :class:`~repro.telemetry.costmeter.CostMeter`; its
-        summary at ``now`` is exported as ``repro_cost_*`` gauges.
+        Sim-time instant for the monitor and cost evaluation.  Defaults
+        to the tracer's :attr:`~repro.telemetry.tracer.Tracer.end_time`;
+        required when the tracer carries either sink and its run has
+        not ended.
     """
-    reg = source.metrics if isinstance(source, Tracer) else source
+    if not isinstance(source, Tracer):
+        source = Tracer(enabled=False, metrics=source)  # no sinks
+    reg, sampler = source.metrics, source.timeseries
+    monitor, costmeter = source.slo_monitor, source.costmeter
+    if now is None:
+        now = source.end_time
     lines: list[str] = []
 
     for raw, counter in sorted(reg._counters.items()):
@@ -100,7 +101,6 @@ def to_prometheus_text(
     # each sampled series' most recent reading becomes a gauge under the
     # ``repro_ts_`` prefix.  NaN (probe never fired / spec never leased)
     # series are skipped — Prometheus has no NaN-safe gauge semantics.
-    sampler = getattr(source, "timeseries", None)
     if sampler is not None:
         for raw in sorted(sampler.probe_names()):
             value = sampler.last(raw)
@@ -175,17 +175,11 @@ def to_prometheus_text(
 
 
 def write_prometheus(
-    source: Tracer | MetricsRegistry,
-    path: str,
-    monitor: Optional[SLOMonitor] = None,
-    now: Optional[float] = None,
-    costmeter=None,
+    source: Tracer | MetricsRegistry, path: str, now: Optional[float] = None
 ) -> int:
     """Write the snapshot to ``path``; returns the number of sample lines
     (non-comment lines) written."""
-    text = to_prometheus_text(
-        source, monitor=monitor, now=now, costmeter=costmeter
-    )
+    text = to_prometheus_text(source, now=now)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return sum(

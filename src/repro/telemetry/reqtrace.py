@@ -45,8 +45,8 @@ worst-K forensics are exact at any sampling rate for ``K <= tail_k``.
 Disabled path
 -------------
 Untraced runs (or ``RunConfig(reqtrace=False)``, the default) construct
-no ``RequestTracer``; every hook site pays one attribute load and one
-``is None`` branch.  Zero calls into this module on the disabled path
+no ``RequestTracer``; every emit site pays one ``if tracer.enabled:``
+branch.  Zero calls into this module on the disabled path
 are gated deterministically (``sys.setprofile`` call counting) the same
 way as the cost meter's.
 """
@@ -233,13 +233,15 @@ class RequestView:
 
 
 class RequestTracer:
-    """Per-request causal trace recorder (one per run / shared cluster).
+    """Per-request causal trace recorder (one per run).
 
     Constructed only when the run is traced *and*
     ``RunConfig.reqtrace`` is set — the disabled path never enters this
-    module.  Hook methods are named ``on_*`` and are called from one
-    ``is None``-guarded site each; none of them touch the simulation
-    state, so a traced run stays bit-identical to an untraced one.
+    module.  It sits on the run's :class:`~repro.telemetry.tracer.
+    Tracer` as ``tracer.reqtrace``; hook methods are named ``on_*`` and
+    are called by the tracer's run-fact methods.  None of them touch the
+    simulation state, so a traced run stays bit-identical to an
+    untraced one.
     """
 
     #: Soft cap on the auxiliary event list (node churn, retries,
@@ -284,7 +286,7 @@ class RequestTracer:
         self._models[name] = float(slo_seconds)
 
     # ------------------------------------------------------------------
-    # Hot-path hooks (one `is None` branch at each call site)
+    # Hot-path hooks (called by the tracer's run-fact methods)
     # ------------------------------------------------------------------
     def on_execute_start(self, batch_id: int, now: float, hardware: str,
                          co_run: int, total_fbr: float) -> None:
@@ -373,9 +375,8 @@ class RequestTracer:
         self._event("breaker", now, target=target, state=state)
 
     def on_run_end(self, now: float) -> None:
-        """Record the run horizon (idempotent; max wins across lanes)."""
-        if now > self._horizon:
-            self._horizon = float(now)
+        """Record the run horizon."""
+        self._horizon = float(now)
 
     def _event(self, kind: str, now: float, **attrs: Any) -> None:
         if len(self._events) >= self.event_cap:

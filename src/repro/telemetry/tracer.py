@@ -115,6 +115,10 @@ def _event_record(
 class Tracer:
     """Collects spans, events, and metrics for one run.
 
+    It is also the run's one telemetry handle: a traced run attaches
+    every sink to it, and each run fact (see "Run facts" below) is one
+    method that reaches every attached sink, so emit sites name none.
+
     Parameters
     ----------
     enabled:
@@ -151,6 +155,17 @@ class Tracer:
         #: construction — the CLI registers the live dashboard here
         #: before the run (and its sampler) exists.
         self.timeseries_observers: list[Any] = []
+        # The run's other sinks, attached when a traced run sets up
+        # (``None`` when absent): a CostMeter, its CostBudgetMonitor, a
+        # RequestTracer, an SLOMonitor and the latency histogram.
+        self.costmeter: Any = None
+        self.cost_monitor: Any = None
+        self.reqtrace: Any = None
+        self.slo_monitor: Any = None
+        self.latency_histogram: Any = None
+        #: Sim time the run ended at (set by :meth:`run_end`); where a
+        #: Prometheus snapshot evaluates the sinks unless told otherwise.
+        self.end_time: Optional[float] = None
 
     @property
     def spans(self) -> list[SpanRecord]:
@@ -226,6 +241,134 @@ class Tracer:
             bd.cold_start_wait, bd.queue_delay, bd.exec_solo,
             bd.interference_extra, bd.failure_wait, batch.retries,
         ))
+
+    # ------------------------------------------------------------------
+    # Run facts: one method per fact, called behind one ``if
+    # tracer.enabled:`` guard at its emit site.  Each reaches every
+    # attached sink, in a fixed order, skipping absent ones.
+    # ------------------------------------------------------------------
+    def node_acquire(self, node_id, spec, now, ready_at, instant) -> None:
+        """A lease opened at ``now``; the node serves from ``ready_at``."""
+        if self.costmeter is not None:
+            self.costmeter.on_acquire(node_id, spec, now, ready_at)
+        if self.reqtrace is not None:
+            self.reqtrace.on_node_acquire(
+                node_id, spec.name, now, ready_at, instant
+            )
+        self.event(
+            "node.acquire", now, cat="lease", track="cluster",
+            hardware=spec.name, node_id=node_id, instant=instant,
+            provision_seconds=spec.provision_seconds,
+        )
+
+    def node_release(self, node_id, lease, now) -> None:
+        """``lease`` (a :class:`~repro.simulator.cluster.LeaseRecord`)
+        closed at ``now``."""
+        if self.costmeter is not None:
+            self.costmeter.on_release(node_id, now)
+        if self.reqtrace is not None:
+            self.reqtrace.on_node_release(node_id, now)
+        self.event(
+            "node.release", now, cat="lease", track="cluster",
+            hardware=lease.spec.name, node_id=node_id,
+            lease_seconds=lease.duration(now), lease_cost=lease.cost(now),
+        )
+        self._lease_span(node_id, lease, now)
+
+    def _lease_span(self, node_id, lease, now, **extra) -> None:
+        hardware = lease.spec.name
+        self.span(
+            f"lease:{hardware}", lease.start, now, cat="lease",
+            track="leases", hardware=hardware, node_id=node_id,
+            cost=lease.cost(now), **extra,
+        )
+
+    def container_spawn(self, node_id, t0, t1) -> None:
+        """A container spawn on ``node_id`` occupies ``[t0, t1)``."""
+        if self.costmeter is not None:
+            self.costmeter.on_spawn(node_id, t0, t1)
+
+    def execute_start(self, batch_id, now, hardware, co_run, fbr) -> None:
+        """A device started executing the batch."""
+        if self.reqtrace is not None:
+            self.reqtrace.on_execute_start(batch_id, now, hardware, co_run, fbr)
+
+    def batch_complete(self, batch: "Batch", node_id, now) -> None:
+        """A batch completed on ``node_id``: bill its residency, close its
+        request trace, queue its spans, record its latency and feed the
+        SLO windows."""
+        done = float(batch.completed_at)
+        if self.costmeter is not None:
+            self.costmeter.on_batch(
+                node_id, batch.model.name, batch.batch_id, batch.size,
+                float(batch.started_at), done,
+            )
+        if self.reqtrace is not None:
+            self.reqtrace.on_batch_complete(batch, node_id)
+        self.record_batch_span(batch)
+        self.latency_histogram.observe(done - batch.first_arrival)
+        if self.slo_monitor is not None:
+            self.slo_monitor.observe_batch(
+                now, batch.model.name, batch.hardware_name or "?",
+                batch.latencies(),
+            )
+
+    def shed(self, now, batch_id, n, reason) -> None:
+        """``n`` requests shed; ``batch_id`` is ``None`` for requests shed
+        at dispatch, before they formed a batch."""
+        ids = {} if batch_id is None else {"batch_id": batch_id}
+        self.event("retry.shed", now, cat="resilience", **ids, n=n,
+                   reason=reason)
+        if self.reqtrace is not None:
+            self.reqtrace.on_shed(now, batch_id, n, reason)
+
+    def drop(self, batch_id, now, n) -> None:
+        """A batch of ``n`` requests was lost (``recovery="drop"``)."""
+        if self.reqtrace is not None:
+            self.reqtrace.on_drop(batch_id, now, n)
+
+    def retry_abandoned(self, batch_id, now, attempt, deadline) -> None:
+        """No retry attempt can meet the batch's deadline."""
+        self.event(
+            "retry.abandoned", now, cat="resilience", batch_id=batch_id,
+            attempt=attempt, deadline=deadline,
+        )
+        if self.reqtrace is not None:
+            self.reqtrace.on_retry_abandoned(
+                batch_id, now, "deadline_unreachable"
+            )
+
+    def retry_dispatch(self, batch_id, attempt, now, deadline, hardware):
+        """Retry ``attempt`` of the batch went to ``hardware``."""
+        self.event(
+            "retry.dispatch", now, cat="resilience", batch_id=batch_id,
+            attempt=attempt, deadline=deadline, hardware=hardware,
+        )
+        if self.reqtrace is not None:
+            self.reqtrace.on_retry_dispatch(batch_id, attempt, now, hardware)
+
+    def breaker_transition(self, target, state, now, failures) -> None:
+        """``target``'s circuit breaker entered ``state`` after
+        ``failures`` consecutive failures."""
+        if self.reqtrace is not None:
+            self.reqtrace.on_breaker(target, state, now)
+        self.event(
+            f"breaker.{state}", now, cat="resilience", target=target,
+            consecutive_failures=failures,
+        )
+
+    def run_end(self, now, leases):
+        """The run ended at ``now``: close the spans of the ``leases``
+        (``(node, lease)`` pairs) still open, record the instant and close
+        the request trace, returning its data (``None`` without one)."""
+        for node, lease in leases:
+            if lease.end is None:
+                self._lease_span(node.node_id, lease, now, open_at_end=True)
+        self.end_time = now
+        if self.reqtrace is None:
+            return None
+        self.reqtrace.on_run_end(now)
+        return self.reqtrace.data()
 
     def _flush_rows(self) -> None:
         rows, self._pending_rows = self._pending_rows, []

@@ -4,6 +4,10 @@ import pytest
 
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.multimodel import Deployment, MultiModelRun
+from repro.framework.system import ServerlessRun
+from repro.simulator.cluster import Cluster
+from repro.simulator.engine import Simulator
+from repro.telemetry import Tracer
 from repro.workloads.models import get_model
 from repro.workloads.traces import constant_trace
 
@@ -29,6 +33,23 @@ class TestValidation:
         deps = make_deployments(profiles, slo, ("resnet50", "resnet50"))
         with pytest.raises(ValueError):
             MultiModelRun(deps, profiles, slo)
+
+    def test_shared_cluster_lane_cannot_be_traced(self, profiles, slo):
+        """Lease facts reach the sinks through the cluster's tracer, so a
+        traced lane on a shared cluster would bill nothing: refused."""
+        (dep,) = make_deployments(profiles, slo, ("resnet50",))
+        sim = Simulator()
+        cluster = Cluster(sim, profiles.catalog)
+        with pytest.raises(ValueError, match="cluster"):
+            ServerlessRun(
+                dep.model, dep.trace, dep.policy, profiles, slo,
+                sim=sim, cluster=cluster, tracer=Tracer(),
+            )
+        # Untraced lanes (MultiModelRun's) and a disabled tracer are fine.
+        ServerlessRun(
+            dep.model, dep.trace, dep.policy, profiles, slo,
+            sim=sim, cluster=cluster, tracer=Tracer(enabled=False),
+        )
 
 
 class TestAccounting:

@@ -215,5 +215,6 @@ def test_cold_start_count_equals_pool_sum(scheme):
         pool.cold_starts for node in owned for pool in node.pools().values()
     )
     assert result.cold_starts > 0
-    assert run.sampler.last("cold_starts.total") == tracer.metrics.samples[
-        -1]["cold_starts.total"]
+    assert tracer.timeseries.last("cold_starts.total") == (
+        tracer.metrics.samples[-1]["cold_starts.total"]
+    )

@@ -66,19 +66,19 @@ class TestExposition:
 
 
 class TestMonitorSeries:
-    def make_monitor(self):
+    def monitored_tracer(self):
         m = SLOMonitor(0.2, window_seconds=30.0, min_window_requests=10)
         m.observe_batch(
             0.0, "resnet50", "g3s.xlarge",
             np.concatenate([np.full(95, 0.05), np.full(5, 0.5)]),
         )
         m.sample(1.0)
-        return m
+        tracer = Tracer()
+        tracer.slo_monitor = m
+        return tracer
 
     def test_windows_exported_with_labels(self):
-        text = to_prometheus_text(
-            MetricsRegistry(), monitor=self.make_monitor(), now=1.0
-        )
+        text = to_prometheus_text(self.monitored_tracer(), now=1.0)
         assert (
             'repro_slo_window_attainment{scope="model",key="resnet50"} 0.95'
             in text
@@ -96,11 +96,11 @@ class TestMonitorSeries:
 
     def test_monitor_requires_now(self):
         with pytest.raises(ValueError, match="now"):
-            to_prometheus_text(MetricsRegistry(), monitor=self.make_monitor())
+            to_prometheus_text(self.monitored_tracer())
 
 
 class TestCostSeries:
-    def make_meter(self):
+    def metered_tracer(self):
         from repro.hardware.catalog import HardwareKind, HardwareSpec
         from repro.telemetry.costmeter import CostMeter
 
@@ -112,12 +112,12 @@ class TestCostSeries:
         meter.on_acquire(0, spec, 0.0, ready_at=5.0)
         meter.on_batch(0, "resnet50", 1, 4, 6.0, 8.0)
         meter.on_release(0, 10.0)
-        return meter
+        tracer = Tracer()
+        tracer.costmeter = meter
+        return tracer
 
     def test_cost_gauges_exported(self):
-        text = to_prometheus_text(
-            MetricsRegistry(), costmeter=self.make_meter(), now=10.0
-        )
+        text = to_prometheus_text(self.metered_tracer(), now=10.0)
         assert "# TYPE repro_cost_total_dollars gauge" in text
         assert "repro_cost_total_dollars 10" in text
         assert 'repro_cost_bucket_dollars{bucket="busy"} 2' in text
@@ -130,9 +130,7 @@ class TestCostSeries:
 
     def test_costmeter_requires_now(self):
         with pytest.raises(ValueError, match="now"):
-            to_prometheus_text(
-                MetricsRegistry(), costmeter=self.make_meter()
-            )
+            to_prometheus_text(self.metered_tracer())
 
 
 class TestWrite:

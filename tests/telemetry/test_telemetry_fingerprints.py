@@ -90,7 +90,7 @@ def digest(parts) -> str:
 def fingerprints(run: ServerlessRun, result) -> dict[str, str]:
     tracer = run.tracer
     hist = tracer.metrics.histogram("request.latency_seconds")
-    sampler = run.sampler
+    sampler = run.tracer.timeseries
     breakdown = result.cost_breakdown
     rt = result.reqtrace
     return {

@@ -8,6 +8,10 @@ independent reference.  This scans every module under ``src/repro``.
 It also holds ``src/`` off ``MetricsCollector.records``: the per-batch
 row view of the columnar completion ledger is kept for API compatibility
 only, and production summaries read the columns.
+
+And it keeps the telemetry sinks off the components: the simulator,
+control-plane and baseline layers report each run fact to the tracer
+they were handed, so none of them touches a sink attribute.
 """
 
 import ast
@@ -100,3 +104,41 @@ def test_scanner_flags_ledger_row_view_reads():
         "n = result.metrics.completed_requests()\n"
     )
     assert metrics_record_reads(source) == [1, 2]
+
+
+#: Layers that report run facts to the tracer and hold no sink.
+SINK_FREE_LAYERS = ("simulator", "core", "baselines")
+#: Attribute names of the telemetry sinks that live on the tracer.
+SINK_ATTRIBUTES = {"costmeter", "reqtrace", "slo_monitor", "cost_monitor"}
+
+
+def sink_attribute_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, attribute)`` of every read or write of a sink attribute."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SINK_ATTRIBUTES
+    )
+
+
+def test_components_hold_no_telemetry_sinks():
+    layers = [p for p in MODULES if p.relative_to(SRC).parts[0] in
+              SINK_FREE_LAYERS]
+    assert len(layers) > 20
+    assert {
+        str(p.relative_to(SRC)): uses
+        for p in layers
+        if (uses := sink_attribute_uses(p.read_text()))
+    } == {}
+
+
+def test_scanner_flags_sink_attributes():
+    source = (
+        "meter = self.costmeter\n"
+        "node.device.reqtrace = rt\n"
+        "self.tracer.slo_monitor.sample(now)\n"
+        "from repro.telemetry.reqtrace import PHASES\n"
+        "costmeter = None\n"
+        "run.tracer.cost_monitor\n"
+    )
+    assert [line for line, _ in sink_attribute_uses(source)] == [1, 2, 3, 6]
