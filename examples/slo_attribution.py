@@ -12,6 +12,13 @@ Records one traced Paldia run, then walks the offline analysis chain:
 4. `diff_traces` — the same workload on a different seed, phase by phase.
 
 Run:  python examples/slo_attribution.py
+
+The same chain from the CLI, on run bundles:
+
+    python -m repro run resnet50 --duration 120 --out run
+    python -m repro run resnet50 --duration 120 --seed 1 --out run-seed1
+    python -m repro trace-attribution run --html report.html
+    python -m repro trace-diff run run-seed1
 """
 
 import tempfile
@@ -34,7 +41,7 @@ DURATION = 120.0
 
 def record_run(model, profiles, out_path, seed=0):
     """One traced run, round-tripped through the JSONL file (exactly
-    what `python -m repro run ... --trace-out` produces)."""
+    the trace.jsonl of a `python -m repro run ... --out DIR` bundle)."""
     slo = SLO()
     trace = azure_trace(peak_rps=model.peak_rps, duration=DURATION, seed=seed)
     policy = PaldiaPolicy(model, profiles, slo.target_seconds)

@@ -38,7 +38,6 @@ from repro.analysis.timeline import (
 )
 from repro.analysis.request_forensics import (
     exemplar_requests,
-    load_reqtrace,
     phase_decomposition,
     render_forensics_report,
     render_waterfall,
@@ -72,7 +71,7 @@ __all__ = [
     "attribute_trace", "breakdown_totals", "cdf_points",
     "compliance_percent", "cost_of_compliance", "decision_rows",
     "diff_traces", "drop_outliers", "exemplar_requests", "format_value",
-    "hardware_timeline", "load_reqtrace", "load_trace",
+    "hardware_timeline", "load_trace",
     "mean_without_outliers", "normalize", "percentile",
     "phase_decomposition", "rate_sparkline", "render_attribution_html",
     "render_attribution_report", "render_cost_report",

@@ -1,8 +1,9 @@
 """Tail-latency forensics over a per-request causal trace.
 
 Consumes a :class:`~repro.telemetry.reqtrace.RequestTraceData` (live
-from a run, or loaded from ``repro.reqtrace/1`` JSONL) and answers the
-question the run-scoped pillars cannot: *why was this request slow?*
+from a run, or loaded from a run bundle's ``reqtrace.jsonl``) and
+answers the question the run-scoped pillars cannot: *why was this
+request slow?*
 
 * :func:`phase_decomposition` — per-phase P50/P99/mean across the fleet,
   with each phase's share of total latency (where the tail's time goes).
@@ -20,27 +21,21 @@ question the run-scoped pillars cannot: *why was this request slow?*
   actual requests that made them fire.
 
 This is the request-level post-mortem path:
-``python -m repro request-trace run.reqtrace.jsonl --worst 10``.
+``python -m repro request-trace BUNDLE --worst 10``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Optional
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from repro.analysis.report import render_kv, render_table
-from repro.telemetry.reqtrace import (
-    PHASES,
-    RequestTraceData,
-    RequestView,
-    read_reqtrace,
-)
+from repro.telemetry.reqtrace import PHASES, RequestTraceData, RequestView
 
 __all__ = [
     "exemplar_requests",
-    "load_reqtrace",
     "phase_decomposition",
     "render_forensics_report",
     "render_waterfall",
@@ -63,20 +58,11 @@ _SVG_COLORS = {
 }
 
 
-def load_reqtrace(
-    path_or_data: Union[str, RequestTraceData],
-) -> RequestTraceData:
-    """Accept either a ``repro.reqtrace/1`` JSONL path or parsed data."""
-    if isinstance(path_or_data, RequestTraceData):
-        return path_or_data
-    return read_reqtrace(path_or_data)
-
-
 # ----------------------------------------------------------------------
 # Fleet-wide decomposition
 # ----------------------------------------------------------------------
 def phase_decomposition(
-    data: Union[str, RequestTraceData],
+    data: RequestTraceData,
 ) -> list[dict[str, float]]:
     """Per-phase latency decomposition across every traced request.
 
@@ -84,7 +70,6 @@ def phase_decomposition(
     ``p99``, ``mean``, and ``share`` — the phase's fraction of summed
     end-to-end latency.  Shares sum to 1 by the conservation identity.
     """
-    data = load_reqtrace(data)
     cols = data.phase_arrays()
     total = float(np.sum(cols["latency"])) if cols["latency"].size else 0.0
     rows = []
@@ -106,14 +91,14 @@ def phase_decomposition(
 
 
 def worst_requests(
-    data: Union[str, RequestTraceData], k: int = 10
+    data: RequestTraceData, k: int = 10
 ) -> list[RequestView]:
     """The worst ``k`` traced requests by end-to-end latency."""
-    return load_reqtrace(data).worst(k)
+    return data.worst(k)
 
 
 def exemplar_requests(
-    data: Union[str, RequestTraceData],
+    data: RequestTraceData,
     t0: float,
     t1: float,
     k: int = 3,
@@ -124,7 +109,6 @@ def exemplar_requests(
     ``slo_alert`` window hands its bounds here and gets back the actual
     request ids to blame, instead of an anonymous aggregate.
     """
-    data = load_reqtrace(data)
     hits = [
         v
         for v in data.iter_requests()
@@ -200,11 +184,10 @@ def render_waterfall(
 
 
 def render_forensics_report(
-    data: Union[str, RequestTraceData], top_k: int = 10
+    data: RequestTraceData, top_k: int = 10
 ) -> str:
     """The full request-level post-mortem: summary, fleet decomposition,
     and the worst-``top_k`` causal waterfalls."""
-    data = load_reqtrace(data)
     parts: list[str] = []
     meta = data.meta
     parts.append(render_kv(
@@ -246,7 +229,7 @@ def render_forensics_report(
 # SVG export (self-contained, like the other pillars' artifacts)
 # ----------------------------------------------------------------------
 def render_waterfall_svg(
-    data: Union[str, RequestTraceData], top_k: int = 10
+    data: RequestTraceData, top_k: int = 10
 ) -> str:
     """The worst-``top_k`` waterfalls as one self-contained SVG string.
 
@@ -254,7 +237,6 @@ def render_waterfall_svg(
     order, one fill color per phase), scaled to the worst latency so
     bars are visually comparable; a legend maps colors to phase names.
     """
-    data = load_reqtrace(data)
     worst = data.worst(top_k)
     bar_h, gap, left, right, top = 22, 8, 230, 30, 58
     chart_w = 640

@@ -1,4 +1,4 @@
-"""Fig 9/11-style panels from a recorded time-series bundle.
+"""Fig 9/11-style panels from a recorded time-series.
 
 Where :mod:`repro.analysis.timeline` reconstructs a run's story from the
 result object, this module renders the *sampled* story: the columns a
@@ -27,11 +27,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.timeline import node_codes
-from repro.telemetry.timeseries import TimeSeriesData, read_timeseries
+from repro.telemetry.timeseries import TimeSeriesData
 
 __all__ = [
     "render_timeseries_report",
-    "render_timeseries_file",
     "write_timeseries_svg",
 ]
 
@@ -188,11 +187,6 @@ def render_timeseries_report(data: TimeSeriesData, width: int = 72) -> str:
             lines.append(f"  {name}: {err}")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
-
-
-def render_timeseries_file(path: str, width: int = 72) -> str:
-    """Load a saved bundle (``.npz`` or JSONL) and render the report."""
-    return render_timeseries_report(read_timeseries(path), width=width)
 
 
 # ---------------------------------------------------------------------------

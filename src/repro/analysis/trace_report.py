@@ -144,24 +144,18 @@ def slowest_request_rows(
 ) -> tuple[list[list[Any]], list[str], str]:
     """The ``--top-k`` slowest-requests table, as ``(rows, headers, title)``.
 
-    With per-request trace data (a :class:`RequestTraceData` or a
-    ``repro.reqtrace/1`` JSONL path) each row is one *request* with its
-    full causal context — phases, peers, hardware, retries — fed by
-    :mod:`repro.analysis.request_forensics`.  Without it, the ranking
-    falls back to the latency-only view the run trace can support: the
-    slowest request *spans* (batches) by duration.  Both shapes render
+    With per-request trace data (a :class:`RequestTraceData`) each row
+    is one *request* with its full causal context — phases, peers,
+    hardware, retries.  Without it, the ranking falls back to the
+    latency-only view the run trace can support: the slowest request
+    *spans* (batches) by duration.  Both shapes render
     through the same table machinery, so ``trace-report --top-k`` works
     (and exits 0) whether or not the run recorded a request trace.
     """
     k = max(0, int(top_k))
     if reqtrace is not None:
-        from repro.analysis.request_forensics import (
-            load_reqtrace,
-            worst_requests,
-        )
-        data = load_reqtrace(reqtrace)
         rows = []
-        for v in worst_requests(data, k):
+        for v in reqtrace.worst(k):
             p = v.phases()
             top_phase = max(p, key=lambda name: p[name])
             rows.append([

@@ -5,23 +5,21 @@ Commands
 ``profiles [MODEL]``
     Print Table II and the profiled rows for a model.
 ``run MODEL [--scheme S] [--trace T] [--duration D] [--seed N]
-    [--chaos F.json] [--recovery MODE] [--trace-out F.jsonl]
-    [--chrome-trace F.json] [--prom-out F.prom]
-    [--self-profile] [--profile-out F.json]
-    [--live] [--timeseries-out F] [--ledger [DB]]
-    [--reqtrace] [--reqtrace-sample P] [--reqtrace-out F.jsonl]``
+    [--chaos F.json] [--recovery MODE] [--out DIR] [--self-profile]
+    [--live] [--ledger [DB]] [--reqtrace] [--reqtrace-sample P]``
     Serve one workload with one scheme and print the headline metrics;
-    optionally inject faults from a ChaosSpec JSON file, enable the
-    resilience layer (deadline-aware retry + circuit breakers), and
-    record telemetry (spans, decision audit, metric samples) to JSONL,
-    Chrome ``trace_event`` format (opens in Perfetto), and/or a
-    Prometheus text-format metrics snapshot.  ``--live`` paints an
-    in-terminal dashboard while the run executes (plain log lines when
-    stdout is not a TTY); ``--timeseries-out`` saves the sampled
-    time-series bundle (``.npz`` or JSONL); ``--ledger`` appends the
-    run's headline metrics to the SQLite run ledger.  ``--self-profile``
-    prints the run's phase tree, with every engine callback site as a
-    ``cb:`` frame.
+    optionally inject faults from a ChaosSpec JSON file and enable the
+    resilience layer (deadline-aware retry + circuit breakers).
+    ``--out`` records telemetry and writes the run bundle (see
+    :mod:`repro.telemetry.bundle`): the JSONL trace, a Chrome
+    ``trace_event`` file (opens in Perfetto), a Prometheus snapshot, the
+    sampled time-series, and the request trace (``--reqtrace``) and
+    self-profile (``--self-profile``) when recorded.  ``--live`` paints
+    an in-terminal dashboard while the run executes (plain log lines
+    when stdout is not a TTY); ``--ledger`` appends the run's headline
+    metrics to the SQLite run ledger.  ``--self-profile`` prints the
+    run's phase tree, with every engine callback site as a ``cb:``
+    frame.
 ``compare MODEL [...]``
     All schemes side by side on the same trace.
 ``experiment ID [--no-cache] [--cache-dir DIR] [--executor E]
@@ -36,40 +34,40 @@ Commands
     and a durable run journal enabling ``--resume`` after an
     interruption — see ``docs/EXECUTION.md``.
 ``profile [MODEL] [--scheme S] [--trace T] [--duration D] [--seed N]
-    [--json F] [--speedscope F] [--collapsed F] [--alloc] [--top N]``
+    [--out DIR] [--alloc] [--top N]``
     Run one scenario under the hierarchical self-profiler
     (:class:`~repro.telemetry.selfprof.RunProfiler`) and print the
     phase tree (where the reproduction's own wall-clock goes: engine
     dispatch, Algorithm 1 ticks, batch formation, GPU interference
-    math, telemetry).  Optional exports: ``repro.selfprof/1`` JSON,
-    speedscope JSON (https://www.speedscope.app), and
-    ``flamegraph.pl``-compatible collapsed stacks.
-``profile --diff BASELINE.json CANDIDATE.json``
-    Compare two saved self-profiles: per-phase exclusive-time deltas,
-    largest movers first.
-``trace-report FILE [--top-k K] [--reqtrace F.jsonl]``
-    Post-mortem a recorded JSONL trace: latency breakdown, Algorithm 1
+    math, telemetry).  ``--out`` writes a bundle holding the
+    ``repro.selfprof/1`` JSON, a speedscope profile
+    (https://www.speedscope.app) and ``flamegraph.pl``-compatible
+    collapsed stacks.
+``profile --diff BASELINE CANDIDATE``
+    Compare the self-profiles of two bundles: per-phase exclusive-time
+    deltas, largest movers first.
+``trace-report BUNDLE [--top-k K]``
+    Post-mortem a run bundle's trace: latency breakdown, Algorithm 1
     decision audit, switches, leases.  ``--top-k`` appends the slowest
-    requests — with full causal context when a request trace is given,
-    latency-only otherwise.
-``request-trace FILE [--request RID | --worst K] [--svg F.svg]``
-    Tail-latency forensics over a ``repro.reqtrace/1`` request trace
-    (written by ``run --reqtrace-out``): per-phase P50/P99
-    decomposition across the fleet and causal waterfalls — one
-    request's by id, or the worst-K with an optional self-contained
-    SVG export.
-``timeseries-report FILE [--width N] [--svg F.svg]``
+    requests — with full causal context when the bundle holds a request
+    trace, latency-only otherwise.
+``request-trace BUNDLE [--request RID | --worst K] [--svg F.svg]``
+    Tail-latency forensics over a bundle's request trace (recorded by
+    ``run --reqtrace``): per-phase P50/P99 decomposition across the
+    fleet and causal waterfalls — one request's by id, or the worst-K
+    with an optional self-contained SVG export.
+``timeseries-report BUNDLE [--width N] [--svg F.svg]``
     Render aligned per-metric panels (rate vs hardware, per-node
-    occupancy, pools & control) from a saved time-series bundle.
+    occupancy, pools & control) from a bundle's sampled time-series.
 ``runs list|show|compare [--ledger DB]``
     Query the cross-run ledger: list recorded runs, show one run's
     metrics, or diff two runs with regression flags.
-``trace-attribution FILE [--slo MS] [--json F] [--html F]``
+``trace-attribution BUNDLE [--slo MS] [--json F] [--html F]``
     Attribute every SLO-violating request span to its dominant latency
     cause and replay each violation's hardware decision against the
     recorded candidate table (avoidable / mis-selected / unavoidable).
 ``trace-diff BASELINE CANDIDATE [--slo MS]``
-    Compare two recorded traces: per-phase latency deltas and
+    Compare the traces of two bundles: per-phase latency deltas and
     per-cause violation deltas.
 ``cost-report MODEL [--schemes S1,S2|all] [--trace T] [--duration D]
     [--seed N] [--budget DOLLARS] [--svg F.svg] [--json F.json]``
@@ -145,14 +143,10 @@ from repro.telemetry import (
     RunProfiler,
     TraceData,
     Tracer,
-    load_profile,
-    read_timeseries,
     render_profile_diff,
     summary_counts,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
+from repro.telemetry.bundle import read_bundle, write_bundle
 from repro.telemetry.ledger import (
     DEFAULT_LEDGER_PATH,
     render_comparison,
@@ -252,19 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "per-target circuit breakers, graceful degradation)",
             )
             p.add_argument(
-                "--trace-out", metavar="FILE",
-                help="record telemetry and write the JSONL trace here",
-            )
-            p.add_argument(
-                "--chrome-trace", metavar="FILE",
-                help="record telemetry and write a Chrome trace_event "
-                "JSON (open in Perfetto / chrome://tracing)",
-            )
-            p.add_argument(
-                "--prom-out", metavar="FILE",
-                help="record telemetry and write a Prometheus text-format "
-                "metrics snapshot (counters, gauges, histograms, SLO "
-                "windows) taken at end of run",
+                "--out", metavar="DIR",
+                help="record telemetry and write the run bundle here: "
+                "manifest.json plus the JSONL and Chrome traces, the "
+                "Prometheus snapshot and the time-series, and the request "
+                "trace and self-profile when recorded",
             )
             p.add_argument(
                 "--self-profile", action="store_true",
@@ -273,27 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "after the run result",
             )
             p.add_argument(
-                "--profile-out", metavar="FILE",
-                help="self-profile the run and write the standalone "
-                "repro.selfprof/1 JSON snapshot here (implies "
-                "--self-profile; needs no other telemetry flag)",
-            )
-            p.add_argument(
                 "--live", action="store_true",
                 help="paint a live dashboard (rate, hardware, queue, "
                 "pools, burn rate) while the run executes; degrades to "
                 "plain log lines when stdout is not a TTY",
-            )
-            p.add_argument(
-                "--timeseries-out", metavar="FILE",
-                help="record the sampled time-series and save the bundle "
-                "here (.npz for columnar numpy, anything else JSONL)",
-            )
-            p.add_argument(
-                "--timeseries-interval", type=float, metavar="SECONDS",
-                default=0.5,
-                help="state-sampling interval in simulated seconds "
-                "(default: 0.5)",
             )
             p.add_argument(
                 "--ledger", metavar="DB", nargs="?",
@@ -311,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--reqtrace", action="store_true",
                 help="record a per-request causal trace (phase "
                 "waterfalls, batch peers, retries, node churn) and "
-                "print the worst-request summary (implies telemetry)",
+                "print the worst-request summary (implies telemetry; "
+                "--out writes it to the bundle)",
             )
             p.add_argument(
                 "--reqtrace-sample", type=float, metavar="P", default=1.0,
@@ -319,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "trace (deterministic per seed; the worst batches are "
                 "always kept, so worst-K forensics stay exact; "
                 "default: 1.0)",
-            )
-            p.add_argument(
-                "--reqtrace-out", metavar="FILE",
-                help="write the request trace as repro.reqtrace/1 JSONL "
-                "here (implies --reqtrace; feed to request-trace)",
             )
 
     p = sub.add_parser("experiment", parents=[common],
@@ -393,18 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--json", metavar="FILE", dest="json_out",
-        help="write the repro.selfprof/1 JSON snapshot here "
-        "(feed two of these to profile --diff)",
-    )
-    p.add_argument(
-        "--speedscope", metavar="FILE", dest="speedscope_out",
-        help="write a speedscope-format profile here "
-        "(open at https://www.speedscope.app)",
-    )
-    p.add_argument(
-        "--collapsed", metavar="FILE", dest="collapsed_out",
-        help="write flamegraph.pl-compatible collapsed stacks here",
+        "--out", metavar="DIR",
+        help="write a bundle of the self-profile here: repro.selfprof/1 "
+        "JSON (feed two bundles to profile --diff), speedscope, and "
+        "flamegraph.pl collapsed stacks",
     )
     p.add_argument(
         "--alloc", action="store_true",
@@ -419,32 +376,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--diff", nargs=2, metavar=("BASELINE", "CANDIDATE"),
         default=None,
-        help="instead of running: diff two saved profile JSONs, "
-        "largest per-phase exclusive-time movers first",
+        help="instead of running: diff the self-profiles of two "
+        "bundles, largest per-phase exclusive-time movers first",
     )
 
     p = sub.add_parser("trace-report", parents=[common],
-                       help="post-mortem a recorded JSONL trace")
-    p.add_argument("trace_file")
+                       help="post-mortem a run bundle's trace")
+    p.add_argument("bundle", help="run bundle written by run --out")
     p.add_argument("--max-rows", type=int, default=30,
                    help="decision-audit rows to show")
     p.add_argument(
         "--top-k", type=int, default=0, metavar="K",
-        help="also rank the K slowest requests (causal context with "
-        "--reqtrace, latency-only otherwise)",
-    )
-    p.add_argument(
-        "--reqtrace", metavar="FILE", dest="reqtrace_file", default=None,
-        help="repro.reqtrace/1 request trace backing the --top-k table "
-        "with per-request causal context",
+        help="also rank the K slowest requests (causal context when "
+        "the bundle holds a request trace, latency-only otherwise)",
     )
 
     p = sub.add_parser(
         "request-trace", parents=[common],
-        help="tail forensics over a repro.reqtrace/1 request trace",
+        help="tail forensics over a bundle's request trace",
     )
-    p.add_argument("reqtrace_file",
-                   help="request trace written by run --reqtrace-out")
+    p.add_argument("bundle",
+                   help="run bundle written by run --out --reqtrace")
     p.add_argument(
         "--request", type=int, metavar="RID", default=None,
         help="show one request's causal waterfall by request id",
@@ -462,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "timeseries-report", parents=[common],
-        help="render panels from a saved time-series bundle",
+        help="render panels from a bundle's sampled time-series",
     )
-    p.add_argument("bundle", help="bundle written by run --timeseries-out")
+    p.add_argument("bundle", help="run bundle written by run --out")
     p.add_argument("--width", type=int, default=72,
                    help="panel width in characters")
     p.add_argument(
@@ -510,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-attribution", parents=[common],
         help="attribute SLO violations to causes + counterfactual replay",
     )
-    p.add_argument("trace_file")
+    p.add_argument("bundle", help="run bundle written by run --out")
     p.add_argument(
         "--slo", type=float, metavar="MS", default=None,
         help="SLO deadline in milliseconds (default: the trace's own)",
@@ -529,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace-diff", parents=[common],
-        help="compare two recorded traces: phase and violation deltas",
+        help="compare two run bundles' traces: phase and violation deltas",
     )
     p.add_argument("baseline")
     p.add_argument("candidate")
@@ -590,27 +542,24 @@ def _run_one(scheme: str, model, trace, profiles, slo, config=None,
     return run.execute(), run
 
 
+def _profiler(args, track_alloc: bool = False) -> RunProfiler:
+    return RunProfiler(track_alloc=track_alloc, meta={
+        k: getattr(args, k) for k in ("model", "scheme", "trace", "duration",
+                                      "seed")
+    })
+
+
 def _cmd_run(args) -> int:
     model = get_model(args.model)
     profiles = ProfileService()
     slo = SLO()
     trace = _TRACES[args.trace](model, args.duration, args.seed)
-    reqtrace = bool(args.reqtrace or args.reqtrace_out)
     tracing = bool(
-        args.trace_out or args.chrome_trace or args.prom_out
-        or args.live or args.timeseries_out or args.ledger
-        or args.budget is not None or reqtrace
+        args.out or args.live or args.ledger
+        or args.budget is not None or args.reqtrace
     )
     tracer = Tracer() if tracing else None
-    selfprof = None
-    if args.self_profile or args.profile_out:
-        selfprof = RunProfiler(
-            meta={
-                "model": args.model, "scheme": args.scheme,
-                "trace": args.trace, "duration": args.duration,
-                "seed": args.seed,
-            },
-        )
+    selfprof = _profiler(args) if args.self_profile else None
     config = None
     if args.chaos or args.recovery or tracing:
         try:
@@ -629,9 +578,8 @@ def _cmd_run(args) -> int:
                 else None
             ),
             seed=args.seed,
-            timeseries_interval_seconds=args.timeseries_interval,
             cost_budget_dollars=args.budget,
-            reqtrace=reqtrace,
+            reqtrace=args.reqtrace,
             reqtrace_sample=args.reqtrace_sample,
         )
     dashboard = None
@@ -683,72 +631,33 @@ def _cmd_run(args) -> int:
     if tracer is not None:
         emit("")
         emit(render_kv(summary_counts(tracer), title="telemetry"))
-        if args.trace_out:
-            n = write_jsonl(tracer, args.trace_out)
-            emit(f"wrote {n} JSONL records to {args.trace_out}")
-        if args.chrome_trace:
-            n = write_chrome_trace(tracer, args.chrome_trace)
-            emit(
-                f"wrote {n} trace events to {args.chrome_trace} "
-                "(open in https://ui.perfetto.dev)"
-            )
-        if args.prom_out:
-            n = write_prometheus(tracer, args.prom_out)
-            emit(f"wrote {n} Prometheus samples to {args.prom_out}")
-        if args.timeseries_out:
-            if tracer.timeseries is None:
-                logger.error(
-                    "no time-series recorded: sampling is disabled "
-                    "(--timeseries-interval must be > 0)"
-                )
-                return 1
-            n = tracer.timeseries.save(args.timeseries_out)
-            emit(
-                f"wrote {n} time-series columns "
-                f"({tracer.timeseries.n_samples} samples) to "
-                f"{args.timeseries_out}"
-            )
-        worst_view = None
-        if result.reqtrace is not None:
-            worst = result.reqtrace.worst(1)
-            if worst:
-                worst_view = worst[0]
-                phases = worst_view.phases()
-                top_phase_name = max(phases, key=lambda n: phases[n])
-                emit("")
-                emit(render_kv(
-                    {
-                        "requests traced": (
-                            f"{result.reqtrace.n_requests_traced} of "
-                            f"{result.reqtrace.meta['n_requests_seen']}"
-                        ),
-                        "worst request": (
-                            f"#{worst_view.rid} "
-                            f"({worst_view.latency * 1e3:.1f} ms, "
-                            f"dominant phase {top_phase_name})"
-                        ),
-                    },
-                    title="request trace",
-                ))
-            if args.reqtrace_out:
-                n = result.reqtrace.save_jsonl(args.reqtrace_out)
-                emit(
-                    f"wrote {n} request-trace records to "
-                    f"{args.reqtrace_out} (inspect with: repro "
-                    f"request-trace {args.reqtrace_out})"
-                )
+        worst_kwargs = {}
+        rt = result.reqtrace
+        worst = rt.worst(1) if rt is not None else []
+        if worst:
+            phases = worst[0].phases()
+            worst_kwargs = {
+                "worst_request_id": worst[0].rid,
+                "worst_request_latency": worst[0].latency,
+                "worst_request_phase": max(phases, key=phases.get),
+            }
+            emit("")
+            emit(render_kv(
+                {
+                    "requests traced": (
+                        f"{rt.n_requests_traced} of "
+                        f"{rt.meta['n_requests_seen']}"
+                    ),
+                    "worst request": (
+                        f"#{worst[0].rid} "
+                        f"({worst[0].latency * 1e3:.1f} ms, dominant "
+                        f"phase {worst_kwargs['worst_request_phase']})"
+                    ),
+                },
+                title="request trace",
+            ))
         if args.ledger:
             top = selfprof.top_phases(1) if selfprof is not None else []
-            worst_kwargs = {}
-            if worst_view is not None:
-                phases = worst_view.phases()
-                worst_kwargs = {
-                    "worst_request_id": worst_view.rid,
-                    "worst_request_latency": worst_view.latency,
-                    "worst_request_phase": max(
-                        phases, key=lambda n: phases[n]
-                    ),
-                }
             with RunLedger(args.ledger) as ledger:
                 run_id = ledger.record(
                     result, trace=args.trace, seed=args.seed,
@@ -758,13 +667,33 @@ def _cmd_run(args) -> int:
                 )
             emit(f"recorded run #{run_id} in {args.ledger}")
     if selfprof is not None:
-        if args.self_profile:
-            emit("")
-            emit(selfprof.rendered())
-        if args.profile_out:
-            selfprof.save(args.profile_out)
-            emit(f"wrote self-profile JSON to {args.profile_out}")
+        emit("")
+        emit(selfprof.rendered())
+    if args.out:
+        return _write_bundle(args.out, tracer=tracer, selfprof=selfprof)
     return 0
+
+
+def _write_bundle(out_dir: str, **sinks) -> int:
+    emit("")
+    try:
+        written = write_bundle(out_dir, **sinks)
+    except OSError as exc:
+        logger.error("cannot write the run bundle: %s", exc)
+        return 1
+    for path, note in written.items():
+        emit(f"wrote {note} to {path}")
+    return 0
+
+
+def _load(path: str, sink: str):
+    """One sink's data from the run bundle at ``path``, or ``None`` after
+    a single ``[error]`` line when the bundle or the sink is unreadable."""
+    try:
+        return read_bundle(path).load(sink)
+    except ValueError as exc:
+        logger.error("%s", exc)
+        return None
 
 
 def _cmd_compare(args) -> int:
@@ -904,32 +833,16 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_profile(args) -> int:
     if args.diff:
-        baseline_path, candidate_path = args.diff
-        try:
-            baseline = load_profile(baseline_path)
-            candidate = load_profile(candidate_path)
-        except FileNotFoundError as exc:
-            logger.error("profile not found: %s", exc)
-            return 1
-        except ValueError as exc:
-            logger.error("not a valid self-profile: %s", exc)
+        baseline, candidate = (_load(path, "profile") for path in args.diff)
+        if baseline is None or candidate is None:
             return 1
         emit(render_profile_diff(baseline, candidate, top=args.top))
         return 0
-    import json
-
     model = get_model(args.model)
     profiles = ProfileService()
     slo = SLO()
     trace = _TRACES[args.trace](model, args.duration, args.seed)
-    prof = RunProfiler(
-        track_alloc=args.alloc,
-        meta={
-            "model": args.model, "scheme": args.scheme,
-            "trace": args.trace, "duration": args.duration,
-            "seed": args.seed,
-        },
-    )
+    prof = _profiler(args, track_alloc=args.alloc)
     result, _run = _run_one(
         args.scheme, model, trace, profiles, slo, selfprof=prof
     )
@@ -952,73 +865,43 @@ def _cmd_profile(args) -> int:
         ),
     }
     emit(render_kv(kv, title="attribution"))
-    if args.json_out:
-        prof.save(args.json_out)
-        emit(f"wrote self-profile JSON to {args.json_out}")
-    if args.speedscope_out:
-        scope_name = f"{args.scheme}/{args.model}/{args.trace}"
-        with open(args.speedscope_out, "w", encoding="utf-8") as fh:
-            json.dump(prof.to_speedscope(scope_name), fh, indent=1)
-            fh.write("\n")
-        emit(
-            f"wrote speedscope profile to {args.speedscope_out} "
-            "(open at https://www.speedscope.app)"
-        )
-    if args.collapsed_out:
-        with open(args.collapsed_out, "w", encoding="utf-8") as fh:
-            fh.write(prof.to_collapsed())
-        emit(
-            f"wrote collapsed stacks to {args.collapsed_out} "
-            "(render with flamegraph.pl)"
-        )
+    if args.out:
+        return _write_bundle(args.out, selfprof=prof)
     return 0
 
 
 def _cmd_trace_report(args) -> int:
+    trace = _load(args.bundle, "trace")
+    if trace is None:
+        return 1
     reqtrace = None
-    if args.top_k > 0 and args.reqtrace_file:
-        from repro.analysis.request_forensics import load_reqtrace
-
+    if args.top_k > 0:
         try:
-            reqtrace = load_reqtrace(args.reqtrace_file)
-        except (FileNotFoundError, ValueError) as exc:
-            # Absent/invalid request-trace data degrades the --top-k
-            # table to the latency-only ranking; the post-mortem itself
-            # still renders and the command still exits 0.
+            reqtrace = read_bundle(args.bundle).load("reqtrace")
+        except ValueError as exc:
+            # A bundle without a usable request trace degrades the
+            # --top-k table to the latency-only ranking; the post-mortem
+            # itself still renders and the command still exits 0.
             logger.warning(
                 "request trace unusable (%s); falling back to "
                 "latency-only ranking", exc,
             )
-    try:
-        report = render_trace_report(
-            args.trace_file, max_decision_rows=args.max_rows,
-            top_k=args.top_k, reqtrace=reqtrace,
-        )
-    except FileNotFoundError:
-        logger.error("trace file not found: %s", args.trace_file)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid trace file: %s", exc)
-        return 1
-    emit(report)
+    emit(render_trace_report(
+        trace, max_decision_rows=args.max_rows,
+        top_k=args.top_k, reqtrace=reqtrace,
+    ))
     return 0
 
 
 def _cmd_request_trace(args) -> int:
     from repro.analysis.request_forensics import (
-        load_reqtrace,
         render_forensics_report,
         render_waterfall,
         render_waterfall_svg,
     )
 
-    try:
-        data = load_reqtrace(args.reqtrace_file)
-    except FileNotFoundError:
-        logger.error("request trace not found: %s", args.reqtrace_file)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid request trace: %s", exc)
+    data = _load(args.bundle, "reqtrace")
+    if data is None:
         return 1
     if args.request is not None:
         try:
@@ -1037,13 +920,8 @@ def _cmd_request_trace(args) -> int:
 
 
 def _cmd_timeseries_report(args) -> int:
-    try:
-        data = read_timeseries(args.bundle)
-    except FileNotFoundError:
-        logger.error("time-series bundle not found: %s", args.bundle)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid time-series bundle: %s", exc)
+    data = _load(args.bundle, "timeseries")
+    if data is None:
         return 1
     emit(render_timeseries_report(data, width=args.width))
     if args.svg_out:
@@ -1142,12 +1020,12 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_trace_attribution(args) -> int:
+    trace = _load(args.bundle, "trace")
+    if trace is None:
+        return 1
     slo_seconds = args.slo / 1e3 if args.slo is not None else None
     try:
-        report = attribute_trace(args.trace_file, slo_seconds=slo_seconds)
-    except FileNotFoundError:
-        logger.error("trace file not found: %s", args.trace_file)
-        return 1
+        report = attribute_trace(trace, slo_seconds=slo_seconds)
     except ValueError as exc:
         logger.error("cannot attribute trace: %s", exc)
         return 1
@@ -1163,14 +1041,14 @@ def _cmd_trace_attribution(args) -> int:
 
 
 def _cmd_trace_diff(args) -> int:
+    baseline, candidate = (
+        _load(path, "trace") for path in (args.baseline, args.candidate)
+    )
+    if baseline is None or candidate is None:
+        return 1
     slo_seconds = args.slo / 1e3 if args.slo is not None else None
     try:
-        diff = diff_traces(
-            args.baseline, args.candidate, slo_seconds=slo_seconds
-        )
-    except FileNotFoundError as exc:
-        logger.error("trace file not found: %s", exc)
-        return 1
+        diff = diff_traces(baseline, candidate, slo_seconds=slo_seconds)
     except ValueError as exc:
         logger.error("cannot diff traces: %s", exc)
         return 1

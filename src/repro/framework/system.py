@@ -63,6 +63,15 @@ from repro.workloads.traces import Trace
 
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
 
+#: Gateway batching window.
+BATCH_WINDOW_SECONDS = 0.075
+
+#: Hardware-selection / rate-sampling cadence (Algorithm 1's ``W``).
+MONITOR_INTERVAL_SECONDS = 0.5
+
+#: Predictive-scaling cadence (~10 s).
+AUTOSCALE_INTERVAL_SECONDS = 10.0
+
 #: Sim-time cadence of the metrics sampler (queue depths, container
 #: counts, GPU occupancy) and of the SLO and cost-budget monitors'
 #: evaluation.  Only a traced run schedules it.
@@ -79,16 +88,12 @@ class RunConfig:
     The telemetry knobs (``timeseries_interval_seconds`` to
     ``reqtrace_sample``) act only on a traced run, whose sinks all live
     on its :class:`Tracer`; a traced run always itemizes its dollars
-    (``tracer.costmeter``).  An untraced run builds no sink.
+    (``tracer.costmeter``).  An untraced run builds no sink.  The
+    batching window and the monitor and autoscaler cadences are the
+    module constants above, not knobs.
 
     Attributes
     ----------
-    batch_window_seconds:
-        Gateway batching window.
-    monitor_interval_seconds:
-        Hardware-selection / rate-sampling cadence (Algorithm 1's ``W``).
-    autoscale_interval_seconds:
-        Predictive-scaling cadence (~10 s).
     keep_alive_seconds:
         Delayed-termination window (~10 min).
     drain_grace_seconds:
@@ -136,9 +141,6 @@ class RunConfig:
         forensics stay exact under sampling.
     """
 
-    batch_window_seconds: float = 0.075
-    monitor_interval_seconds: float = 0.5
-    autoscale_interval_seconds: float = 10.0
     keep_alive_seconds: float = 600.0
     drain_grace_seconds: float = 30.0
     warm_start: bool = True
@@ -284,7 +286,7 @@ class ServerlessRun:
             # math, interference law, autoscaler sub-phases, retries).
             self.cluster.selfprof = selfprof
         self.metrics = MetricsCollector()
-        self.tracker = RateTracker(self.config.monitor_interval_seconds)
+        self.tracker = RateTracker(MONITOR_INTERVAL_SECONDS)
         self.policy.bind_tracer(self.tracer)
         #: The contention-aware policy's feedback hook (None otherwise).
         self._observe_contention = getattr(policy, "observe_contention", None)
@@ -294,7 +296,7 @@ class ServerlessRun:
             predictor=getattr(policy, "predictor", EWMAPredictor()),
             slo_seconds=self.slo.target_seconds,
             keep_alive_seconds=self.config.keep_alive_seconds,
-            interval_seconds=self.config.autoscale_interval_seconds,
+            interval_seconds=AUTOSCALE_INTERVAL_SECONDS,
             tracer=self.tracer,
             selfprof=selfprof,
         )
@@ -431,7 +433,7 @@ class ServerlessRun:
         # distinct timestamp.  Engine-queue traffic drops from O(windows)
         # events at setup to one live event.
         self._window_table = WindowTable.plan(
-            self.trace.arrivals, cfg.batch_window_seconds, max(1, chunk)
+            self.trace.arrivals, BATCH_WINDOW_SECONDS, max(1, chunk)
         )
         self._window_idx = 0
         if len(self._window_table):
@@ -442,9 +444,9 @@ class ServerlessRun:
             )
 
         # Monitor + autoscale loops.
-        self.sim.schedule(cfg.monitor_interval_seconds, self._monitor_tick, priority=20)
+        self.sim.schedule(MONITOR_INTERVAL_SECONDS, self._monitor_tick, priority=20)
         self.sim.schedule(
-            cfg.autoscale_interval_seconds, self._autoscale_tick, priority=20
+            AUTOSCALE_INTERVAL_SECONDS, self._autoscale_tick, priority=20
         )
 
         # Optional sensitivity-study machinery.
@@ -559,7 +561,7 @@ class ServerlessRun:
 
         Columns are fixed at start: the per-spec node columns cover the
         whole catalog (NaN while a spec holds no live lease), so two runs
-        over the same catalog export alignable bundles regardless of
+        over the same catalog export alignable columns regardless of
         which hardware their policies visited.
         """
         cfg = self.config
@@ -585,7 +587,7 @@ class ServerlessRun:
         sampler.probe(
             "rate.predicted",
             lambda: predictor.predict(
-                self.sim.now, cfg.monitor_interval_seconds
+                self.sim.now, MONITOR_INTERVAL_SECONDS
             ),
         )
 
@@ -1022,7 +1024,7 @@ class ServerlessRun:
                     self._reconfigure(desired)
         if now < self.trace.duration + self.config.drain_grace_seconds:
             self.sim.schedule(
-                self.config.monitor_interval_seconds, self._monitor_tick, priority=20
+                MONITOR_INTERVAL_SECONDS, self._monitor_tick, priority=20
             )
 
     def _unavailable(self) -> frozenset[str]:
@@ -1182,7 +1184,7 @@ class ServerlessRun:
             )
         if self.sim.now < self.trace.duration:
             self.sim.schedule(
-                self.config.autoscale_interval_seconds,
+                AUTOSCALE_INTERVAL_SECONDS,
                 self._autoscale_tick,
                 priority=20,
             )

@@ -31,6 +31,8 @@ request's latency actually went.  This package records the path taken:
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
   forensics in :mod:`repro.analysis.request_forensics`.
+* :mod:`~repro.telemetry.bundle` — the run bundle: one directory with
+  a manifest and one file per sink, which every report command reads.
 * :class:`~repro.telemetry.selfprof.RunProfiler` — hierarchical
   wall-clock attribution of the reproduction itself (phase tree with
   flamegraph/speedscope export, see ``docs/PERFORMANCE.md``); each

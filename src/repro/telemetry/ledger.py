@@ -1,6 +1,6 @@
 """Cross-run ledger: a SQLite record of every run's headline metrics.
 
-Time-series bundles answer "what did *this* run look like over time";
+A run's time-series answers "what did *this* run look like over time";
 the ledger answers "how does this run compare to every run before it".
 Each :meth:`RunLedger.record` persists one row — scheme, model, trace,
 seed, git SHA, wall metrics (p99, cost, compliance, violation rate),

@@ -29,17 +29,18 @@ observes.
 
 Export / import
 ---------------
-``save_npz`` writes the columns as a NumPy archive; ``save_jsonl``
-writes a *columnar* JSONL bundle (one header object, then one line per
-column).  :func:`read_timeseries` loads either format back into a
-:class:`TimeSeriesData` that :mod:`repro.analysis.timeseries_report`
-renders as aligned per-metric panels.
+:meth:`StateSampler.save` writes the columns and meta as a compressed
+NumPy archive (``timeseries.npz`` in a run bundle); :func:`read_timeseries`
+loads it back into a :class:`TimeSeriesData` that
+:mod:`repro.analysis.timeseries_report` renders as aligned per-metric
+panels.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -54,7 +55,7 @@ __all__ = [
     "TIMESERIES_SCHEMA",
 ]
 
-#: Schema tag written into every exported bundle.
+#: Schema tag written into every exported archive.
 TIMESERIES_SCHEMA = "repro.timeseries/1"
 
 #: Default ring capacity when no horizon is known at start time.
@@ -63,7 +64,7 @@ _DEFAULT_CAPACITY = 4096
 
 @dataclass
 class TimeSeriesData:
-    """A loaded time-series bundle: aligned columns over one time axis."""
+    """A loaded time-series: aligned columns over one time axis."""
 
     times: np.ndarray
     columns: dict[str, np.ndarray] = field(default_factory=dict)
@@ -93,7 +94,7 @@ class StateSampler:
         samples than ``capacity`` arrive the buffer wraps and only the
         most recent ``capacity`` readings are retained.
     meta:
-        Free-form bundle metadata (scheme, model, seed, hardware codes…)
+        Free-form metadata (scheme, model, seed, hardware codes…)
         carried through export.
 
     Examples
@@ -197,7 +198,7 @@ class StateSampler:
 
         The first sample lands at ``now + interval``; a ``horizon``
         shorter than one interval therefore yields zero samples (and an
-        empty — but still exportable — bundle).
+        empty — but still exportable — series).
         """
         if self._handle is not None:
             raise RuntimeError("sampler already started")
@@ -320,8 +321,8 @@ class StateSampler:
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def save_npz(self, path: str) -> int:
-        """Write a compressed ``.npz`` bundle; returns columns written."""
+    def save(self, path: str) -> int:
+        """Write a compressed ``.npz`` archive; returns columns written."""
         data = self.data()
         arrays: dict[str, np.ndarray] = {"t": data.times}
         for name, col in data.columns.items():
@@ -333,33 +334,6 @@ class StateSampler:
         )
         return len(data.columns)
 
-    def save_jsonl(self, path: str) -> int:
-        """Write a columnar JSONL bundle (header line, then one line per
-        column); returns columns written."""
-        data = self.data()
-
-        def tolist(arr: np.ndarray) -> list:
-            return [None if math.isnan(v) else v for v in arr.tolist()]
-
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "timeseries_meta", **data.meta}) + "\n")
-            fh.write(
-                json.dumps({"type": "timeseries_col", "name": "t",
-                            "values": data.times.tolist()}) + "\n"
-            )
-            for name, col in data.columns.items():
-                fh.write(
-                    json.dumps({"type": "timeseries_col", "name": name,
-                                "values": tolist(col)}) + "\n"
-                )
-        return len(data.columns)
-
-    def save(self, path: str) -> int:
-        """Dispatch on extension: ``.npz`` is binary, anything else JSONL."""
-        if path.endswith(".npz"):
-            return self.save_npz(path)
-        return self.save_jsonl(path)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StateSampler(interval={self.interval_seconds}, "
@@ -370,11 +344,25 @@ class StateSampler:
 # ----------------------------------------------------------------------
 # Import
 # ----------------------------------------------------------------------
-def _read_npz(path: str) -> TimeSeriesData:
-    with np.load(path) as archive:
-        meta: dict[str, Any] = {}
+def read_timeseries(path: str) -> TimeSeriesData:
+    """Load an archive written by :meth:`StateSampler.save`.
+
+    Raises ``ValueError`` when the file is not a NumPy archive carrying
+    ``repro.timeseries/1`` meta (a trace saved by
+    :func:`repro.workloads.save_npz` is an archive, but not a time-series).
+    """
+    try:
+        archive = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not a NumPy archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not a NumPy archive")
+    with archive:
+        meta: Any = {}
         if "__meta__" in archive.files:
             meta = json.loads(bytes(archive["__meta__"]).decode("utf-8"))
+        if not isinstance(meta, dict) or meta.get("schema") != TIMESERIES_SCHEMA:
+            raise ValueError(f"{path}: not a {TIMESERIES_SCHEMA} archive")
         times = archive["t"] if "t" in archive.files else np.empty(0)
         columns = {
             name[len("col:"):]: archive[name]
@@ -383,52 +371,3 @@ def _read_npz(path: str) -> TimeSeriesData:
         }
     return TimeSeriesData(times=np.asarray(times, dtype=float),
                           columns=columns, meta=meta)
-
-
-def _read_jsonl(path: str) -> TimeSeriesData:
-    meta: dict[str, Any] = {}
-    times = np.empty(0)
-    columns: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            kind = obj.pop("type", None)
-            if kind == "timeseries_meta":
-                meta = obj
-            elif kind == "timeseries_col":
-                values = np.array(
-                    [math.nan if v is None else float(v)
-                     for v in obj["values"]],
-                    dtype=float,
-                )
-                if obj["name"] == "t":
-                    times = values
-                else:
-                    columns[obj["name"]] = values
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown record type {kind!r}"
-                )
-    return TimeSeriesData(times=times, columns=columns, meta=meta)
-
-
-def read_timeseries(path: str) -> TimeSeriesData:
-    """Load a bundle written by :meth:`StateSampler.save` (either format).
-
-    Raises ``ValueError`` when the file is neither a readable ``.npz``
-    archive nor a columnar JSONL bundle.
-    """
-    if path.endswith(".npz"):
-        return _read_npz(path)
-    data = _read_jsonl(path)
-    if data.meta.get("schema", TIMESERIES_SCHEMA) != TIMESERIES_SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported time-series schema {data.meta.get('schema')!r}"
-        )
-    return data

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.telemetry import Tracer, write_jsonl
+from repro.telemetry import Tracer
+from repro.telemetry.bundle import write_bundle
 
 
 class TestParser:
@@ -126,12 +127,10 @@ class TestChaosSpecErrors:
 
 
 class TestTelemetryFlags:
-    def test_trace_out_flag_parses(self):
-        args = build_parser().parse_args(
-            ["run", "resnet50", "--trace-out", "x.jsonl"]
-        )
-        assert args.trace_out == "x.jsonl"
-        assert args.chrome_trace is None
+    def test_out_flag_parses(self):
+        args = build_parser().parse_args(["run", "resnet50", "--out", "x"])
+        assert args.out == "x"
+        assert build_parser().parse_args(["run", "resnet50"]).out is None
 
     def test_profile_engine_flag_is_rejected(self, capsys):
         # Engine callback sites are the cb: frames of --self-profile.
@@ -144,46 +143,46 @@ class TestTelemetryFlags:
         assert build_parser().parse_args(["list"]).verbose is False
 
     def test_traced_run_writes_both_exports(self, capsys, tmp_path):
-        jsonl = tmp_path / "run.jsonl"
-        chrome = tmp_path / "run.json"
+        bundle = tmp_path / "run"
         assert main([
             "run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--trace-out", str(jsonl), "--chrome-trace", str(chrome),
+            "--out", str(bundle),
         ]) == 0
         out = capsys.readouterr().out
         assert "telemetry" in out and "wrote" in out
-        assert jsonl.exists() and chrome.exists()
+        assert (bundle / "trace.jsonl").exists()
+        assert (bundle / "trace.chrome.json").exists()
 
     def test_trace_report_roundtrip(self, capsys, tmp_path):
-        jsonl = tmp_path / "run.jsonl"
+        bundle = tmp_path / "run"
         assert main([
             "run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--trace-out", str(jsonl),
+            "--out", str(bundle),
         ]) == 0
         capsys.readouterr()
-        assert main(["trace-report", str(jsonl)]) == 0
+        assert main(["trace-report", str(bundle)]) == 0
         out = capsys.readouterr().out
         assert "latency breakdown" in out
         assert "hardware-selection audit" in out
 
     def test_trace_report_missing_file_is_clean_error(self, capsys):
-        assert main(["trace-report", "/nonexistent/run.jsonl"]) == 1
+        assert main(["trace-report", "/nonexistent/run"]) == 1
         assert "not found" in capsys.readouterr().out
 
     def test_trace_report_garbage_file_is_clean_error(self, capsys, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        assert main(["trace-report", str(bad)]) == 1
+        bad = _write_trace(tmp_path)
+        (tmp_path / "crafted" / "trace.jsonl").write_text("not json\n")
+        assert main(["trace-report", bad]) == 1
         assert "not a valid trace file" in capsys.readouterr().out
 
     def test_prom_out_writes_snapshot(self, capsys, tmp_path):
-        prom = tmp_path / "run.prom"
+        bundle = tmp_path / "run"
         assert main([
             "run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--prom-out", str(prom),
+            "--out", str(bundle),
         ]) == 0
         assert "Prometheus samples" in capsys.readouterr().out
-        text = prom.read_text()
+        text = (bundle / "metrics.prom").read_text()
         assert "# TYPE" in text
         assert "repro_slo_window_attainment" in text
 
@@ -191,10 +190,10 @@ class TestTelemetryFlags:
 @pytest.fixture(scope="module")
 def recorded_trace(tmp_path_factory):
     """One short traced run, recorded once for every analysis test."""
-    path = str(tmp_path_factory.mktemp("cli") / "run.jsonl")
+    path = str(tmp_path_factory.mktemp("cli") / "run")
     assert main([
         "run", "resnet50", "--trace", "poisson", "--duration", "20",
-        "--trace-out", path,
+        "--out", path,
     ]) == 0
     return path
 
@@ -210,16 +209,16 @@ def _write_trace(tmp_path, slo_seconds=None, spans=()):
             hardware="g3s.xlarge", batching_wait=0.0, cold_start_wait=0.0,
             queue_delay=0.0, exec_solo=end - start, interference_extra=0.0,
         )
-    path = tmp_path / "crafted.jsonl"
-    write_jsonl(tracer, str(path))
-    return str(path)
+    path = str(tmp_path / "crafted")
+    write_bundle(path, tracer=tracer)
+    return path
 
 
 class TestTraceReportRegressions:
     def test_empty_trace_exits_clean(self, capsys, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["trace-report", str(empty)]) == 0
+        empty = _write_trace(tmp_path)
+        (tmp_path / "crafted" / "trace.jsonl").write_text("")
+        assert main(["trace-report", empty]) == 0
         assert "no SLO violations (no request spans recorded)" in (
             capsys.readouterr().out
         )
@@ -260,7 +259,7 @@ class TestTraceAttribution:
         assert "no SLO violations" in capsys.readouterr().out
 
     def test_missing_file_is_clean_error(self, capsys):
-        assert main(["trace-attribution", "/nonexistent/run.jsonl"]) == 1
+        assert main(["trace-attribution", "/nonexistent/run"]) == 1
         assert "not found" in capsys.readouterr().out
 
     def test_trace_without_slo_is_clean_error(self, capsys, tmp_path):
@@ -278,14 +277,14 @@ class TestTraceDiff:
 
     def test_missing_file_is_clean_error(self, capsys, recorded_trace):
         assert main([
-            "trace-diff", recorded_trace, "/nonexistent/run.jsonl",
+            "trace-diff", recorded_trace, "/nonexistent/run",
         ]) == 1
         assert "not found" in capsys.readouterr().out
 
     def test_parser_accepts_slo_override(self):
         args = build_parser().parse_args(
-            ["trace-diff", "a.jsonl", "b.jsonl", "--slo", "300"]
+            ["trace-diff", "a", "b", "--slo", "300"]
         )
-        assert args.baseline == "a.jsonl"
-        assert args.candidate == "b.jsonl"
+        assert args.baseline == "a"
+        assert args.candidate == "b"
         assert args.slo == pytest.approx(300.0)

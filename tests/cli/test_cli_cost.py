@@ -71,10 +71,10 @@ class TestRunBudget:
     def test_run_budget_enables_meter_and_prom_gauges(
         self, capsys, tmp_path
     ):
-        prom = str(tmp_path / "snap.prom")
+        prom = str(tmp_path / "snap" / "metrics.prom")
         rc = main(
             ["run", "resnet50", "--budget", "0.000001",
-             "--prom-out", prom] + SMALL
+             "--out", str(tmp_path / "snap")] + SMALL
         )
         assert rc == 0
         out = capsys.readouterr().out

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.telemetry.selfprof import SELFPROF_SCHEMA
+from repro.telemetry.bundle import write_bundle
+from repro.telemetry.selfprof import SELFPROF_SCHEMA, RunProfiler
 
 
 SMALL = ["--trace", "poisson", "--duration", "8", "--seed", "0"]
@@ -26,11 +27,11 @@ class TestParser:
         assert args.diff == ["a.json", "b.json"]
 
     def test_run_profile_flags(self):
-        args = build_parser().parse_args(
-            ["run", "resnet50", "--profile-out", "p.json"]
-        )
-        assert args.profile_out == "p.json"
-        assert args.self_profile is False
+        args = build_parser().parse_args(["profile", "--out", "p"])
+        assert args.out == "p"
+        assert build_parser().parse_args(
+            ["run", "resnet50"]
+        ).self_profile is False
 
 
 class TestProfileCommand:
@@ -44,14 +45,11 @@ class TestProfileCommand:
         assert "top subsystems" in out
 
     def test_exports_all_three_formats(self, capsys, tmp_path):
-        json_out = str(tmp_path / "prof.json")
-        scope_out = str(tmp_path / "prof.speedscope.json")
-        collapsed_out = str(tmp_path / "prof.collapsed.txt")
+        json_out = str(tmp_path / "prof" / "profile.json")
+        scope_out = str(tmp_path / "prof" / "profile.speedscope.json")
+        collapsed_out = str(tmp_path / "prof" / "profile.collapsed.txt")
         assert main(
-            ["profile", "resnet50", *SMALL,
-             "--json", json_out,
-             "--speedscope", scope_out,
-             "--collapsed", collapsed_out]
+            ["profile", "resnet50", *SMALL, "--out", str(tmp_path / "prof")]
         ) == 0
 
         with open(json_out) as fh:
@@ -75,12 +73,12 @@ class TestProfileCommand:
             assert int(weight) > 0
 
     def test_diff_mode(self, capsys, tmp_path):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
-        assert main(["profile", "resnet50", *SMALL, "--json", a]) == 0
+        a = str(tmp_path / "a")
+        b = str(tmp_path / "b")
+        assert main(["profile", "resnet50", *SMALL, "--out", a]) == 0
         assert main(
             ["profile", "resnet50", "--trace", "poisson",
-             "--duration", "8", "--seed", "1", "--json", b]
+             "--duration", "8", "--seed", "1", "--out", b]
         ) == 0
         capsys.readouterr()
         assert main(["profile", "--diff", a, b]) == 0
@@ -89,31 +87,34 @@ class TestProfileCommand:
         assert "delta_ms" in out
 
     def test_diff_missing_file(self, capsys, tmp_path):
-        a = str(tmp_path / "a.json")
-        with open(a, "w") as fh:
-            json.dump({"schema": SELFPROF_SCHEMA, "root": {},
-                       "meta": {}, "total_seconds": 0.0}, fh)
+        a = str(tmp_path / "a")
+        write_bundle(a, selfprof=RunProfiler())
         assert main(
-            ["profile", "--diff", a, str(tmp_path / "missing.json")]
+            ["profile", "--diff", a, str(tmp_path / "missing")]
         ) == 1
 
     def test_diff_rejects_non_profile(self, capsys, tmp_path):
-        a = str(tmp_path / "a.json")
-        with open(a, "w") as fh:
+        a = str(tmp_path / "a")
+        write_bundle(a, selfprof=RunProfiler())
+        with open(tmp_path / "a" / "profile.json", "w") as fh:
             json.dump({"schema": "nope"}, fh)
         assert main(["profile", "--diff", a, a]) == 1
 
 
 class TestRunSelfProfile:
     def test_profile_out_standalone(self, capsys, tmp_path):
-        # Satellite contract: --profile-out works without any other
-        # telemetry flag (no tracer constructed at all).
-        out_path = str(tmp_path / "run-prof.json")
+        # The untraced self-profile of a run: profile --out builds no
+        # tracer at all, so its bundle holds only the profile files.
+        out_path = str(tmp_path / "run-prof" / "profile.json")
         assert main(
-            ["run", "resnet50", *SMALL, "--profile-out", out_path]
+            ["profile", "resnet50", *SMALL, "--out",
+             str(tmp_path / "run-prof")]
         ) == 0
         out = capsys.readouterr().out
-        assert "telemetry" not in out  # no tracer summary block
+        # No tracer summary block (the phase tree may still name the
+        # telemetry.* frames), and no tracer file in the bundle.
+        assert "\ntelemetry\n" not in out
+        assert not (tmp_path / "run-prof" / "trace.jsonl").exists()
         with open(out_path) as fh:
             prof = json.load(fh)
         assert prof["schema"] == SELFPROF_SCHEMA

@@ -1,21 +1,19 @@
-"""CLI tests for --live / --timeseries-out / --ledger and the
+"""CLI tests for --live / --out's time-series / --ledger and the
 ``timeseries-report`` and ``runs`` commands."""
 
 import pytest
 
 from repro.cli import build_parser, main
 
-RUN_ARGS = ["run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--timeseries-interval", "1.0"]
+RUN_ARGS = ["run", "resnet50", "--trace", "poisson", "--duration", "10"]
 
 
 class TestParser:
     def test_run_flag_defaults(self):
         args = build_parser().parse_args(["run", "resnet50"])
         assert args.live is False
-        assert args.timeseries_out is None
+        assert args.out is None
         assert args.ledger is None
-        assert args.timeseries_interval == 0.5
 
     def test_ledger_flag_without_value_uses_default(self):
         args = build_parser().parse_args(["run", "resnet50", "--ledger"])
@@ -34,13 +32,13 @@ class TestParser:
 
 class TestRunFlags:
     def test_timeseries_out_writes_bundle(self, capsys, tmp_path):
-        out = str(tmp_path / "ts.jsonl")
-        assert main(RUN_ARGS + ["--timeseries-out", out]) == 0
+        out = str(tmp_path / "run")
+        assert main(RUN_ARGS + ["--out", out]) == 0
         text = capsys.readouterr().out
         assert "time-series columns" in text
-        from repro.telemetry import read_timeseries
+        from repro.telemetry.bundle import read_bundle
 
-        data = read_timeseries(out)
+        data = read_bundle(out).load("timeseries")
         assert data.n_samples > 0
         assert "rate.offered" in data.names()
 
@@ -55,19 +53,12 @@ class TestRunFlags:
         assert main(RUN_ARGS + ["--ledger", db]) == 0
         assert "recorded run #1" in capsys.readouterr().out
 
-    def test_zero_interval_with_timeseries_out_errors(self, capsys,
-                                                      tmp_path):
-        out = str(tmp_path / "ts.jsonl")
-        rc = main(RUN_ARGS[:-2] + ["--timeseries-interval", "0",
-                                   "--timeseries-out", out])
-        assert rc == 1
-
 
 class TestTimeseriesReportCommand:
     @pytest.fixture(scope="class")
     def bundle(self, tmp_path_factory):
-        out = str(tmp_path_factory.mktemp("ts") / "bundle.npz")
-        assert main(RUN_ARGS + ["--timeseries-out", out]) == 0
+        out = str(tmp_path_factory.mktemp("ts") / "run")
+        assert main(RUN_ARGS + ["--out", out]) == 0
         return out
 
     def test_renders_panels(self, bundle, capsys):
@@ -83,7 +74,7 @@ class TestTimeseriesReportCommand:
         assert open(svg).read().startswith("<svg")
 
     def test_missing_bundle_errors(self, capsys):
-        assert main(["timeseries-report", "/nonexistent.npz"]) == 1
+        assert main(["timeseries-report", "/nonexistent"]) == 1
 
 
 class TestRunsCommands:

@@ -1,4 +1,4 @@
-"""Tests for the time-series state sampler and its bundle formats."""
+"""Tests for the time-series state sampler and its ``.npz`` archive."""
 
 import math
 
@@ -153,7 +153,7 @@ class TestSimulatorIntegration:
         s.start(sim, horizon=2.0)  # first sample would land at t=10 > 2
         sim.run()
         assert s.n_samples == 0
-        path = str(tmp_path / "empty.jsonl")
+        path = str(tmp_path / "empty.npz")
         s.save(path)
         data = read_timeseries(path)
         assert data.n_samples == 0 and "x" in data.names()
@@ -204,29 +204,17 @@ class TestExportImport:
         np.testing.assert_array_equal(data.column("a"), sampler.column("a"))
         assert math.isnan(data.column("b")[0])
 
-    def test_jsonl_round_trip_preserves_nan(self, sampler, tmp_path):
-        path = str(tmp_path / "ts.jsonl")
-        assert sampler.save(path) == 2
-        data = read_timeseries(path)
-        col = data.column("b")
-        assert math.isnan(col[0]) and col[1] == 2.0 and col[2] == 3.0
-
-    def test_both_formats_agree(self, sampler, tmp_path):
-        p1, p2 = str(tmp_path / "ts.npz"), str(tmp_path / "ts.jsonl")
-        sampler.save(p1)
-        sampler.save(p2)
-        d1, d2 = read_timeseries(p1), read_timeseries(p2)
-        assert sorted(d1.names()) == sorted(d2.names())
-        np.testing.assert_array_equal(d1.times, d2.times)
-
-    def test_unknown_record_type_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"type": "mystery"}\n')
-        with pytest.raises(ValueError, match="unknown record type"):
+    def test_non_archive_rejected(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        path.write_text("not an archive\n")
+        with pytest.raises(ValueError):
             read_timeseries(str(path))
 
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ValueError, match="invalid JSON"):
-            read_timeseries(str(path))
+    def test_archive_without_timeseries_meta_rejected(self, tmp_path):
+        # A workload trace is an .npz too, but not a time-series.
+        from repro.workloads import poisson_trace, save_npz
+
+        path = str(tmp_path / "trace.npz")
+        save_npz(poisson_trace(rate_rps=5.0, duration=10.0, seed=0), path)
+        with pytest.raises(ValueError, match="repro.timeseries/1"):
+            read_timeseries(path)
